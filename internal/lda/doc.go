@@ -18,9 +18,12 @@
 // the design and its AD-LDA-style staleness trade).
 //
 // Two sampling cores implement the per-token draw (Config.Sampler /
-// FoldInConfig.Sampler): the default sparse core — a SparseLDA-style
-// bucket decomposition with per-sweep Walker alias tables, O(K_d + 1)
-// amortized per token (sparse.go) — and the classic dense O(K) core kept
-// for A/B validation. Fold-in inference against a frozen model (foldin.go)
-// shares the machinery and is what the serving daemon runs per request.
+// FoldInConfig.Sampler): the classic dense O(K) core, the reference the
+// other is validated against, and the Metropolis–Hastings core —
+// LightLDA-style alias proposals from tables rebuilt every AliasRefresh
+// sweeps, with an accept/reject step that keeps the chain exact, O(1) per
+// token (mh.go). The default, SamplerAuto, picks dense for small topic
+// counts or vocabularies and MH above them (Sampler.ResolveFor). Fold-in
+// inference against a frozen model (foldin.go) shares the machinery and is
+// what the serving daemon runs per request.
 package lda

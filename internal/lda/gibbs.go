@@ -96,8 +96,8 @@ func (dl *delta) applyTo(nKV [][]int, nK []int) {
 }
 
 // sweepScratch is the per-chunk scratch of a sampler run — delta tables,
-// probability buffers and (for the sparse sampler) incremental bucket
-// state — allocated once and reused across all sweeps (the tables are
+// probability buffers and (for the MH sampler) per-chunk proposal state —
+// allocated once and reused across all sweeps (the tables are
 // O(topics x vocabulary) each, too big to reallocate per sweep). applyTo
 // re-zeroes each delta as it folds it into the globals.
 type sweepScratch struct {
@@ -108,9 +108,6 @@ type sweepScratch struct {
 	// allocation (the pointer handed to visit would otherwise force each
 	// stream to escape).
 	rngs []stream
-	// sparse[c] is chunk c's incremental bucket state; nil for dense runs
-	// (see enableSparse / sparse.go).
-	sparse []*sparseChunk
 	// mh[c] is chunk c's Metropolis–Hastings state; nil unless the MH core
 	// runs (see enableMH / mh.go).
 	mh []*mhChunk
@@ -131,7 +128,6 @@ type sweepScratch struct {
 type passArgs struct {
 	seed  int64
 	sweep uint64
-	begin func(c int)
 	visit func(c, di int, rng *stream, dl *delta, probs []float64)
 }
 
@@ -146,9 +142,6 @@ func newSweepScratch(nc, kTotal, v int) *sweepScratch {
 		sc.probs[c] = make([]float64, kTotal)
 	}
 	sc.chunkFn = func(c, lo, hi int) {
-		if sc.pass.begin != nil {
-			sc.pass.begin(c)
-		}
 		dl := sc.deltas[c]
 		probs := sc.probs[c]
 		rng := &sc.rngs[c]
@@ -161,21 +154,19 @@ func newSweepScratch(nc, kTotal, v int) *sweepScratch {
 }
 
 // gibbsPass runs one chunked pass (initialization or a Gibbs sweep) over d
-// documents, using the chunk count the scratch was sized for. begin, when
-// non-nil, runs once at the start of each chunk (the sparse sampler
-// refreshes its per-chunk bucket masses there). end, when non-nil, runs
-// once after every chunk finishes but *before* the deltas merge into the
-// global tables — the MH core joins its background alias rebuild there,
-// while the globals the rebuild reads are still frozen; an end error
-// aborts the pass without merging. visit samples document di of chunk c
-// with its own counter-based PRNG stream derived from (seed, di, sweep),
-// records count changes in the chunk's delta dl, and may use probs (len
-// kTotal) as scratch. On success the chunk deltas are merged into nKV/nK
-// in chunk order and reset; on cancellation the global tables are left
-// unchanged and the context error is returned. A pass over zero documents
-// is a no-op.
+// documents, using the chunk count the scratch was sized for. end, when
+// non-nil, runs once after every chunk finishes but *before* the deltas
+// merge into the global tables — the MH core joins its background alias
+// rebuild there, while the globals the rebuild reads are still frozen; an
+// end error aborts the pass without merging. visit samples document di of
+// chunk c with its own counter-based PRNG stream derived from (seed, di,
+// sweep), records count changes in the chunk's delta dl, and may use probs
+// (len kTotal) as scratch. On success the chunk deltas are merged into
+// nKV/nK in chunk order and reset; on cancellation the global tables are
+// left unchanged and the context error is returned. A pass over zero
+// documents is a no-op.
 func gibbsPass(o par.Opts, seed int64, sweep uint64, d int, sc *sweepScratch,
-	nKV [][]int, nK []int, begin func(c int), end func() error,
+	nKV [][]int, nK []int, end func() error,
 	visit func(c, di int, rng *stream, dl *delta, probs []float64)) error {
 	if d <= 0 {
 		return o.Err()
@@ -185,7 +176,7 @@ func gibbsPass(o par.Opts, seed int64, sweep uint64, d int, sc *sweepScratch,
 		start = time.Now()
 	}
 	nc := len(sc.deltas)
-	sc.pass = passArgs{seed: seed, sweep: sweep, begin: begin, visit: visit}
+	sc.pass = passArgs{seed: seed, sweep: sweep, visit: visit}
 	err := par.ForChunksN(o, d, nc, sc.chunkFn)
 	sc.pass = passArgs{} // drop the closure references
 	if err != nil {

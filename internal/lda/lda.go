@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"lesm/internal/obs"
 	"lesm/internal/par"
@@ -19,29 +18,24 @@ type Sampler string
 
 const (
 	// SamplerAuto resolves per workload: SamplerDense below the topic/
-	// vocabulary threshold where the decomposed cores' bookkeeping costs
+	// vocabulary threshold where the MH core's proposal bookkeeping costs
 	// more than the O(K) scan it avoids, SamplerMH above it. See
 	// Sampler.ResolveFor.
 	SamplerAuto Sampler = ""
-	// SamplerSparse is the bucket-decomposed sparse core with per-sweep
-	// Walker alias tables (SparseLDA / AliasLDA hybrid): O(K_d) amortized
-	// per token instead of O(K). See sparse.go.
-	SamplerSparse Sampler = "sparse"
-	// SamplerDense is the classic O(K)-per-token collapsed sampler, kept
-	// for A/B validation of the decomposed cores.
+	// SamplerDense is the classic O(K)-per-token collapsed sampler, the
+	// reference the MH core is validated against.
 	SamplerDense Sampler = "dense"
 	// SamplerMH is the Metropolis–Hastings core: alias proposals from
 	// *stale* tables rebuilt every Config.AliasRefresh sweeps, with the
 	// accept/reject step restoring exactness — O(1) proposals per token
-	// and an amortized rebuild instead of the sparse core's per-sweep
-	// O(K·V). See mh.go.
+	// and an amortized O(K·V) rebuild. See mh.go.
 	SamplerMH Sampler = "mh"
 )
 
 // SamplerAuto's workload thresholds: below either bound the dense core's
-// O(K) scan is cheap enough that the decomposed cores' bucket/proposal
-// bookkeeping is pure overhead (BENCH_pr4.json measured sparse at ~0.8x
-// dense on the K=6, V=10 workload, 8.4x at K=200, V=1000).
+// O(K) scan is cheap enough that the MH core's proposal bookkeeping is
+// pure overhead (BENCH_pr4.json measured a decomposed core at ~0.8x dense
+// on the K=6, V=10 workload, 8.4x at K=200, V=1000).
 const (
 	autoMinTopics = 32
 	autoMinVocab  = 64
@@ -68,7 +62,7 @@ func (s Sampler) ResolveFor(kTotal, v int) Sampler {
 // the CLIs) share this check so a new core only has to be registered here.
 func (s Sampler) Valid() bool {
 	switch s {
-	case SamplerAuto, SamplerSparse, SamplerDense, SamplerMH:
+	case SamplerAuto, SamplerDense, SamplerMH:
 		return true
 	}
 	return false
@@ -76,7 +70,7 @@ func (s Sampler) Valid() bool {
 
 // errUnknown is the shared rejection message for unknown sampler names.
 func (s Sampler) errUnknown() error {
-	return fmt.Errorf("lda: unknown sampler %q (want %q, %q or %q)", s, SamplerSparse, SamplerDense, SamplerMH)
+	return fmt.Errorf("lda: unknown sampler %q (want %q for auto, %q or %q)", s, SamplerAuto, SamplerDense, SamplerMH)
 }
 
 // Config parameterizes a Gibbs run.
@@ -100,11 +94,11 @@ type Config struct {
 	// P bounds the worker count of the parallel sweeps (0 = GOMAXPROCS).
 	// Models are bit-identical at any P.
 	P int
-	// Sampler selects the sampling core: SamplerSparse (bucket+alias),
-	// SamplerMH (Metropolis–Hastings alias proposals with amortized
-	// rebuilds) or SamplerDense (classic O(K) per token). SamplerAuto
-	// picks per workload — see Sampler.ResolveFor. All cores are
-	// deterministic at any P; each follows its own trajectory.
+	// Sampler selects the sampling core: SamplerMH (Metropolis–Hastings
+	// alias proposals with amortized rebuilds) or SamplerDense (classic
+	// O(K) per token). SamplerAuto picks per workload — see
+	// Sampler.ResolveFor. Both cores are deterministic at any P; each
+	// follows its own trajectory.
 	Sampler Sampler
 	// AliasRefresh is the MH core's alias-table rebuild cadence in sweeps
 	// (0 = DefaultAliasRefresh; negative is a validation error): the
@@ -272,8 +266,8 @@ type Model struct {
 	// Sampler.ResolveFor).
 	Sampler Sampler
 	// AliasRebuilds counts the word-proposal alias-table builds the fit
-	// performed: Iters for the sparse core (one per sweep), 1 +
-	// ⌊(Iters−1)/AliasRefresh⌋ for the MH core (amortized), 0 for dense.
+	// performed: 1 + ⌊(Iters−1)/AliasRefresh⌋ for the MH core (amortized),
+	// 0 for dense.
 	AliasRebuilds int
 }
 
@@ -336,9 +330,9 @@ func Run(docs [][]int, v int, cfg Config) (*Model, error) {
 			func(di, slot, _ int) int { return docs[di][slot] })
 		start = cp.Sweep
 	} else {
-		// Initialization pass (uniform assignments), shared by all cores
+		// Initialization pass (uniform assignments), shared by both cores
 		// so an A/B comparison starts from the same state.
-		err := gibbsPass(o, cfg.Seed, 0, d, sc, nKV, nK, nil, nil,
+		err := gibbsPass(o, cfg.Seed, 0, d, sc, nKV, nK, nil,
 			func(_, di int, rng *stream, dl *delta, _ []float64) {
 				doc := docs[di]
 				nDK[di] = make([]int, kTotal)
@@ -365,14 +359,6 @@ func Run(docs [][]int, v int, cfg Config) (*Model, error) {
 	var err error
 	rebuilds := 0
 	switch core {
-	case SamplerSparse:
-		err = runSparse(o, cfg, docs, v, d, start, sc, alpha, nDK, nKV, nK, z, rr, ck)
-		if d > 0 {
-			// One rebuild per sweep over the whole trajectory — resumed
-			// runs report the uninterrupted fit's figure, not the sweeps
-			// they themselves executed, so the models stay bit-identical.
-			rebuilds = cfg.Iters
-		}
 	case SamplerMH:
 		rebuilds, err = runMH(o, cfg, docs, v, d, start, sc, alpha, nDK, nKV, nK, z, rr, ck)
 	default:
@@ -392,7 +378,7 @@ func runDense(o par.Opts, cfg Config, docs [][]int, v, d, kTotal, start int, sc 
 	alpha []float64, nDK [][]int, nKV [][]int, nK []int, z [][]int, rr *runRecorder, ck *ckptState) error {
 	vb := float64(v) * cfg.Beta
 	for it := start; it < cfg.Iters; it++ {
-		err := gibbsPass(o, cfg.Seed, uint64(it+1), d, sc, nKV, nK, nil, nil,
+		err := gibbsPass(o, cfg.Seed, uint64(it+1), d, sc, nKV, nK, nil,
 			func(_, di int, rng *stream, dl *delta, probs []float64) {
 				doc := docs[di]
 				for i, w := range doc {
@@ -429,65 +415,6 @@ func runDense(o par.Opts, cfg Config, docs [][]int, v, d, kTotal, start int, sc 
 			return err
 		}
 		if err := rr.endSweep(o, it+1, 0, 0); err != nil {
-			return err
-		}
-		if err := ck.boundary(it + 1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runSparse is the bucket+alias core (sparse.go): per sweep, the q-bucket
-// alias tables rebuild from the frozen globals, then every chunk samples
-// its documents through the incremental bucket state at O(K_d) amortized
-// per token.
-func runSparse(o par.Opts, cfg Config, docs [][]int, v, d, start int, sc *sweepScratch,
-	alpha []float64, nDK [][]int, nKV [][]int, nK []int, z [][]int, rr *runRecorder, ck *ckptState) error {
-	if d == 0 {
-		// Every pass is a no-op; skip the per-sweep O(K·V) alias rebuilds.
-		return o.Err()
-	}
-	qa := newQAlias(v)
-	sc.enableSparse(alpha, cfg.Beta, v, nKV, nK, qa)
-	// On resume the cumulative rebuild totals below count from the
-	// trajectory's start; prime the recorder so the first resumed sweep
-	// is not charged with the skipped sweeps' rebuilds.
-	rr.prime(start, 0)
-	var rebuildT time.Duration
-	for it := start; it < cfg.Iters; it++ {
-		var t0 time.Time
-		if rr != nil {
-			t0 = time.Now()
-		}
-		if err := qa.rebuild(o, alpha, cfg.Beta, nKV, nK); err != nil {
-			return err
-		}
-		if rr != nil {
-			rebuildT += time.Since(t0)
-		}
-		err := gibbsPass(o, cfg.Seed, uint64(it+1), d, sc, nKV, nK,
-			func(c int) { sc.sparse[c].beginPass() }, nil,
-			func(c, di int, rng *stream, _ *delta, _ []float64) {
-				ch := sc.sparse[c]
-				ch.beginDoc(nDK[di])
-				doc := docs[di]
-				zd := z[di]
-				for i, w := range doc {
-					kOld := zd[i]
-					ch.adjust(kOld, w, -1)
-					k := ch.sampleToken(w, rng)
-					if k != kOld {
-						ch.dl.ctr.changed++
-					}
-					zd[i] = k
-					ch.adjust(k, w, 1)
-				}
-			})
-		if err != nil {
-			return err
-		}
-		if err := rr.endSweep(o, it+1, it+1, rebuildT); err != nil {
 			return err
 		}
 		if err := ck.boundary(it + 1); err != nil {

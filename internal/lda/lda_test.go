@@ -3,6 +3,8 @@ package lda
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -181,6 +183,13 @@ func TestRunPhrasesSharesTopicWithinPhrase(t *testing.T) {
 	}
 }
 
+// TestBackgroundAbsorbsCommonWords checks the background topic over a
+// declared seed set rather than one hand-picked seed. The fixture's
+// default α = 50/K = 25 swamps its 24-token documents, so the clean split
+// is seed-marginal on every core: before the sparse core was removed,
+// seeds 1..40 gave a clean split on 15 seeds for dense, 14 for sparse and
+// 15 for MH. The floor is the lowest of those counts; dense, the
+// reference core, reaches 15 and is the core pinned here.
 func TestBackgroundAbsorbsCommonWords(t *testing.T) {
 	// Word 10 appears in every document regardless of topic; with a
 	// background topic enabled it should end up most prominent there.
@@ -197,35 +206,128 @@ func TestBackgroundAbsorbsCommonWords(t *testing.T) {
 		}
 		docs[d] = doc
 	}
-	// The clean split is seed-marginal under any sampler (several seeds
-	// leave phi[bg][10] hovering at ~0.5 even for the dense core); seed 14
-	// converges cleanly on the sparse trajectory, so pin that core —
-	// SamplerAuto would resolve this small workload to dense.
-	m := Must(Run(docs, 11, Config{K: 2, Iters: 120, Seed: 14, Background: true, BGWeight: 4, Sampler: SamplerSparse}))
-	// Topic identity is not fixed (the background slot can swap with a
-	// content topic), so check the label-agnostic property: some topic is
-	// dominated by the shared word, and the two content word blocks
-	// dominate two other distinct topics.
-	blockMass := func(k, lo, n int) float64 {
-		s := 0.0
-		for w := lo; w < lo+n; w++ {
-			s += m.Phi[k][w]
+	const seeds, minClean = 40, 14
+	clean := 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		m := Must(Run(docs, 11, Config{K: 2, Iters: 120, Seed: seed, Background: true, BGWeight: 4, Sampler: SamplerDense}))
+		// Topic identity is not fixed (the background slot can swap with
+		// a content topic), so check the label-agnostic property: some
+		// topic is dominated by the shared word, and the two content word
+		// blocks dominate two other distinct topics.
+		blockMass := func(k, lo, n int) float64 {
+			s := 0.0
+			for w := lo; w < lo+n; w++ {
+				s += m.Phi[k][w]
+			}
+			return s
 		}
-		return s
-	}
-	bgTopic, t0, t1 := -1, -1, -1
-	for k := 0; k < 3; k++ {
-		switch {
-		case m.Phi[k][10] > 0.5:
-			bgTopic = k
-		case blockMass(k, 0, 5) > 0.5:
-			t0 = k
-		case blockMass(k, 5, 5) > 0.5:
-			t1 = k
+		bgTopic, t0, t1 := -1, -1, -1
+		for k := 0; k < 3; k++ {
+			switch {
+			case m.Phi[k][10] > 0.5:
+				bgTopic = k
+			case blockMass(k, 0, 5) > 0.5:
+				t0 = k
+			case blockMass(k, 5, 5) > 0.5:
+				t1 = k
+			}
+		}
+		if bgTopic >= 0 && t0 >= 0 && t1 >= 0 {
+			clean++
 		}
 	}
-	if bgTopic < 0 || t0 < 0 || t1 < 0 {
-		t.Fatalf("no clean background/content split: bg=%d t0=%d t1=%d phi10=[%v %v %v]",
-			bgTopic, t0, t1, m.Phi[0][10], m.Phi[1][10], m.Phi[2][10])
+	if clean < minClean {
+		t.Fatalf("clean background/content split on %d of seeds 1..%d, want >= %d", clean, seeds, minClean)
+	}
+}
+
+// --- validation regressions (each previously a panic deep in the sampler) ---
+
+func TestRunValidatesConfig(t *testing.T) {
+	docs := [][]int{{0, 1}, {1, 0}}
+	cases := []struct {
+		name string
+		v    int
+		cfg  Config
+		want string
+	}{
+		{"zero K", 2, Config{K: 0, Iters: 1}, "Config.K"},
+		{"negative K", 2, Config{K: -3, Iters: 1}, "Config.K"},
+		{"zero vocab", 0, Config{K: 2, Iters: 1}, "vocabulary"},
+		{"negative alpha", 2, Config{K: 2, Iters: 1, Alpha: -1}, "Alpha"},
+		{"NaN alpha", 2, Config{K: 2, Iters: 1, Alpha: math.NaN()}, "Alpha"},
+		{"negative beta", 2, Config{K: 2, Iters: 1, Beta: -0.5}, "Beta"},
+		{"NaN beta", 2, Config{K: 2, Iters: 1, Beta: math.NaN()}, "Beta"},
+		{"NaN bgweight", 2, Config{K: 2, Iters: 1, Background: true, BGWeight: math.NaN()}, "BGWeight"},
+		{"negative iters", 2, Config{K: 2, Iters: -1}, "Iters"},
+		{"negative bgweight", 2, Config{K: 2, Iters: 1, Background: true, BGWeight: -2}, "BGWeight"},
+		{"unknown sampler", 2, Config{K: 2, Iters: 1, Sampler: "turbo"}, "sampler"},
+		{"removed sparse sampler", 2, Config{K: 2, Iters: 1, Sampler: "sparse"}, "sampler"},
+	}
+	for _, tc := range cases {
+		m, err := Run(docs, tc.v, tc.cfg)
+		if err == nil || m != nil {
+			t.Fatalf("%s: model=%v err=%v, want validation error", tc.name, m, err)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+		pm, err := RunPhrases([]PhraseDoc{{{0}, {1}}}, tc.v, tc.cfg)
+		if err == nil || pm != nil {
+			t.Fatalf("%s: RunPhrases model=%v err=%v, want validation error", tc.name, pm, err)
+		}
+	}
+}
+
+func TestRunValidatesTokenRange(t *testing.T) {
+	if _, err := Run([][]int{{0, 5}}, 5, Config{K: 2, Iters: 1}); err == nil || !strings.Contains(err.Error(), "word id 5") {
+		t.Fatalf("out-of-range token: err=%v, want word-id error", err)
+	}
+	if _, err := Run([][]int{{-1}}, 5, Config{K: 2, Iters: 1}); err == nil {
+		t.Fatal("negative token id accepted")
+	}
+	if _, err := RunPhrases([]PhraseDoc{{{0}, {2, 9}}}, 5, Config{K: 2, Iters: 1}); err == nil || !strings.Contains(err.Error(), "word id 9") {
+		t.Fatalf("out-of-range phrase token: err=%v, want word-id error", err)
+	}
+}
+
+func TestFoldInValidatesModel(t *testing.T) {
+	// Ragged likelihood rows.
+	fm := &FoldInModel{PhiLike: [][]float64{{0.5, 0.5}, {1}}, Alpha: []float64{1, 1}}
+	if _, err := FoldIn(fm, [][]int{{0}}, FoldInConfig{}); err == nil || !strings.Contains(err.Error(), "row 1") {
+		t.Fatalf("ragged PhiLike: err=%v", err)
+	}
+	// Alpha length mismatch.
+	fm = &FoldInModel{PhiLike: [][]float64{{0.5, 0.5}, {0.5, 0.5}}, Alpha: []float64{1}}
+	if _, err := FoldIn(fm, [][]int{{0}}, FoldInConfig{}); err == nil || !strings.Contains(err.Error(), "Alpha") {
+		t.Fatalf("alpha mismatch: err=%v", err)
+	}
+	// Negative prior.
+	fm = &FoldInModel{PhiLike: [][]float64{{0.5, 0.5}, {0.5, 0.5}}, Alpha: []float64{1, -1}}
+	if _, err := FoldIn(fm, [][]int{{0}}, FoldInConfig{}); err == nil || !strings.Contains(err.Error(), "Alpha[1]") {
+		t.Fatalf("negative alpha: err=%v", err)
+	}
+	// Unknown sampler.
+	fm = &FoldInModel{PhiLike: [][]float64{{0.5, 0.5}}, Alpha: []float64{1}}
+	for _, s := range []Sampler{"turbo", "sparse"} {
+		if _, err := FoldIn(fm, [][]int{{0}}, FoldInConfig{Sampler: s}); err == nil || !strings.Contains(err.Error(), "sampler") {
+			t.Fatalf("unknown fold-in sampler %q: err=%v", s, err)
+		}
+	}
+}
+
+// TestDenseSamplerStillAvailable pins the A/B reference: explicitly
+// requesting the dense core must be deterministic across P and follow a
+// trajectory of its own, distinct from the MH core's.
+func TestDenseSamplerStillAvailable(t *testing.T) {
+	docs := bigSynthCorpus(96, 65)
+	a := Must(Run(docs, 10, Config{K: 2, Iters: 10, Seed: 66, Sampler: SamplerDense, P: 1}))
+	b := Must(Run(docs, 10, Config{K: 2, Iters: 10, Seed: 66, Sampler: SamplerDense, P: 8}))
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("dense sampler no longer deterministic across P")
+	}
+	mh := Must(Run(docs, 10, Config{K: 2, Iters: 10, Seed: 66, Sampler: SamplerMH}))
+	if reflect.DeepEqual(a.Z, mh.Z) {
+		t.Fatal("dense and MH trajectories are identical; expected distinct deterministic trajectories")
 	}
 }

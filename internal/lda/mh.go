@@ -9,15 +9,19 @@ import (
 
 // The Metropolis–Hastings sampling core (Config.Sampler "mh"): LightLDA-
 // style alias proposals (Yuan et al., WWW 2015; AliasLDA, Li et al., KDD
-// 2014) over the same bucket-decomposed conditional the sparse core
-// samples exactly,
+// 2014) for the collapsed Gibbs conditional
 //
 //	p(k) ∝ (n_dk + α_k)(n_kw + β) / (n_k + Vβ).
 //
-// Where the sparse core pays an O(K·V) alias rebuild every sweep to keep
-// its q bucket only one pass stale, the MH core draws each token's topic
-// from cheap proposal distributions and corrects with an accept/reject
-// step, so the per-word alias tables can go *several* sweeps stale without
+// The numerator is a product of a document side n_dk + α_k and a word
+// side n_kw + β. The word side does not depend on the document, so one
+// Walker alias table per word can serve it; the document side is the
+// document's own assignment list plus a static α table. Sampling the
+// product exactly needs the word tables current at every draw (SparseLDA's
+// bucket split, Yao, Mimno & McCallum, KDD 2009, pays an O(K·V) rebuild
+// per sweep for it). The MH core instead draws each token's topic from the
+// two factors as cheap proposals and corrects with an accept/reject step,
+// so the per-word alias tables can go *several* sweeps stale without
 // biasing the stationary distribution. Per token it alternates two
 // proposals, each O(1):
 //
@@ -32,7 +36,7 @@ import (
 //
 // Each proposal t is accepted over the incumbent k with the standard MH
 // probability min(1, [p(t)·q(k)] / [p(k)·q(t)]) where p uses the *current*
-// counts (global + own-chunk delta, exactly what the other cores sample
+// counts (global + own-chunk delta, exactly what the dense core samples
 // from) and q the proposal's own distribution — the stale tables appear
 // only inside q, so detailed balance holds against the current conditional
 // and the chain's stationary distribution is the exact collapsed Gibbs
@@ -45,18 +49,18 @@ import (
 // the duration of the pass) and fills the inactive buffer concurrently
 // with the sweep, swapping in at the pass boundary before the chunk deltas
 // merge. A fit therefore performs 1 + ⌊(Iters−1)/AliasRefresh⌋ builds
-// (Model.AliasRebuilds) instead of the sparse core's one per sweep.
+// (Model.AliasRebuilds) instead of one per sweep.
 //
 // Determinism: chunk boundaries, per-document (Seed, doc, sweep) streams
 // and the rebuild schedule are all P-independent, so MH models are
 // bit-identical at any Config.P — the extra proposal/acceptance draws are
-// consumed from the same per-document stream, making MH a third
-// deterministic trajectory next to dense and sparse.
+// consumed from the same per-document stream, making MH a second
+// deterministic trajectory next to dense.
 
 // DefaultAliasRefresh is the default MH alias-table rebuild cadence in
 // sweeps (Config.AliasRefresh = 0). Eight sweeps keeps the amortized
-// rebuild cost under an eighth of the sparse core's while the acceptance
-// step absorbs the added staleness.
+// rebuild cost under an eighth of a per-sweep rebuild's while the
+// acceptance step absorbs the added staleness.
 const DefaultAliasRefresh = 8
 
 // mhProposal is the double-buffered word-proposal state: two AliasSets
@@ -155,10 +159,9 @@ func (m *mhProposal) density(w, k int) float64 {
 	return m.cur().Weight(w, int32(k)) + m.beta
 }
 
-// mhChunk is one chunk's MH sampling state. Unlike sparseChunk it keeps no
-// incremental bucket masses — acceptance ratios read the handful of counts
-// they need directly — so adjust is two array updates plus the delta
-// bookkeeping.
+// mhChunk is one chunk's MH sampling state. It keeps no incremental
+// bucket masses — acceptance ratios read the handful of counts they need
+// directly — so adjust is two array updates plus the delta bookkeeping.
 type mhChunk struct {
 	alpha    []float64
 	alphaSum float64
@@ -473,7 +476,7 @@ func runMH(o par.Opts, cfg Config, docs [][]int, v, d, start int, sc *sweepScrat
 			ch.refreshDen()
 		}
 		sched.beginSweep(o, nKV)
-		err := gibbsPass(o, cfg.Seed, uint64(it+1), d, sc, nKV, nK, nil, sched.endPass,
+		err := gibbsPass(o, cfg.Seed, uint64(it+1), d, sc, nKV, nK, sched.endPass,
 			func(c, di int, rng *stream, _ *delta, _ []float64) {
 				ch := sc.mh[c]
 				zd := z[di]
@@ -510,8 +513,8 @@ func runMH(o par.Opts, cfg Config, docs [][]int, v, d, start int, sc *sweepScrat
 // runPhrasesMH is the MH loop behind RunPhrases. Unigram phrases — the
 // dominant case in segmented corpora — go through the MH kernel with the
 // doc proposal drawing over phrase slots (density pDK + α); multi-word
-// phrases keep the dense product conditional, exactly as in the sparse
-// core, reading counts through the same chunk state.
+// phrases keep the dense product conditional (samplePhrase, shared with
+// the dense core), reading counts through the same chunk state.
 func runPhrasesMH(o par.Opts, cfg Config, docs []PhraseDoc, v, d, start int, sc *sweepScratch,
 	alpha []float64, nDK [][]int, nKV [][]int, nK []int, zP [][]int, rr *runRecorder, ck *ckptState) (int, error) {
 	if d == 0 {
@@ -537,7 +540,7 @@ func runPhrasesMH(o par.Opts, cfg Config, docs []PhraseDoc, v, d, start int, sc 
 			ch.refreshDen()
 		}
 		sched.beginSweep(o, nKV)
-		err := gibbsPass(o, cfg.Seed, uint64(it+1), d, sc, nKV, nK, nil, sched.endPass,
+		err := gibbsPass(o, cfg.Seed, uint64(it+1), d, sc, nKV, nK, sched.endPass,
 			func(c, di int, rng *stream, _ *delta, probs []float64) {
 				ch := sc.mh[c]
 				zPd := zP[di]
@@ -559,7 +562,7 @@ func runPhrasesMH(o par.Opts, cfg Config, docs []PhraseDoc, v, d, start int, sc 
 						continue
 					}
 					// Multi-word phrases keep the dense product over
-					// really-removed counts, exactly as in the sparse core.
+					// really-removed counts.
 					kOld := k
 					for _, w := range phrase {
 						ch.adjust(k, w, -1)

@@ -9,6 +9,7 @@ package lda
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -280,7 +281,6 @@ func TestSamplerResolveFor(t *testing.T) {
 		{SamplerAuto, 32, 64, SamplerMH},       // at both thresholds: MH
 		{SamplerAuto, 200, 1000, SamplerMH},
 		{SamplerDense, 200, 1000, SamplerDense}, // explicit choice wins
-		{SamplerSparse, 2, 10, SamplerSparse},
 		{SamplerMH, 2, 10, SamplerMH},
 	}
 	for _, tc := range cases {
@@ -339,15 +339,19 @@ func TestConfigValidatesAliasRefresh(t *testing.T) {
 	if _, err := FoldIn(fm, [][]int{{0}}, FoldInConfig{Sampler: SamplerMH}); err != nil {
 		t.Fatalf("fold-in Sampler mh rejected: %v", err)
 	}
-	// Unknown names still fail, and the error names all three cores.
+	// Unknown names still fail, and the error lists the three valid
+	// values: auto (empty) and both cores.
 	_, err := Run(docs, 2, Config{K: 2, Iters: 1, Sampler: "turbo"})
 	if err == nil {
 		t.Fatal("unknown sampler accepted")
 	}
-	for _, want := range []string{"dense", "sparse", "mh"} {
+	for _, want := range []string{`""`, `"dense"`, `"mh"`} {
 		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("unknown-sampler error %q does not mention %q", err, want)
+			t.Fatalf("unknown-sampler error %q does not mention %s", err, want)
 		}
+	}
+	if strings.Contains(err.Error(), "sparse") {
+		t.Fatalf("unknown-sampler error %q still lists the removed sparse core", err)
 	}
 }
 
@@ -381,5 +385,96 @@ func TestSamplerResolveForBoundary(t *testing.T) {
 	if autoMinTopics != 32 || autoMinVocab != 64 {
 		t.Fatalf("auto thresholds moved (topics=%d vocab=%d): retune TestSamplerResolveForBoundary",
 			autoMinTopics, autoMinVocab)
+	}
+}
+
+// heldOutPerplexity evaluates a fitted model on unseen documents: theta
+// comes from (dense, to keep the evaluator fixed) fold-in, the likelihood
+// from the model's smoothed topic-word distributions.
+func heldOutPerplexity(t *testing.T, m *Model, held [][]int) float64 {
+	t.Helper()
+	fm := FoldInModelFromCounts(m.NKV, m.NK, DefaultFoldInAlpha, m.Beta)
+	theta, err := FoldIn(fm, held, FoldInConfig{Seed: 9, Sampler: SamplerDense})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ll, n := 0.0, 0
+	for di, doc := range held {
+		for _, w := range doc {
+			p := 0.0
+			for k := range fm.PhiLike {
+				p += theta[di][k] * fm.PhiLike[k][w]
+			}
+			ll += math.Log(p)
+			n++
+		}
+	}
+	return math.Exp(-ll / float64(n))
+}
+
+// TestMHDensePerplexityParity is the acceptance gate for the MH core: on
+// a fixed-seed synthetic corpus with topic structure plus shared noise,
+// its held-out perplexity must land within 2% of the dense-fit model's.
+// (The trajectories differ; their stationary quality must not — this also
+// exercises the stale-table acceptance correction over a full fit at the
+// default AliasRefresh.)
+func TestMHDensePerplexityParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	mk := func(n int) [][]int {
+		docs := make([][]int, n)
+		for d := range docs {
+			top := rng.Intn(4)
+			doc := make([]int, 48)
+			for i := range doc {
+				if rng.Float64() < 0.2 {
+					doc[i] = 40 + rng.Intn(20) // shared noise block
+				} else {
+					doc[i] = top*10 + rng.Intn(10)
+				}
+			}
+			docs[d] = doc
+		}
+		return docs
+	}
+	train, held := mk(400), mk(64)
+	dense := Must(Run(train, 60, Config{K: 8, Iters: 100, Seed: 7, Sampler: SamplerDense}))
+	pd := heldOutPerplexity(t, dense, held)
+	m := Must(Run(train, 60, Config{K: 8, Iters: 100, Seed: 7, Sampler: SamplerMH}))
+	pm := heldOutPerplexity(t, m, held)
+	if rel := math.Abs(pm-pd) / pd; rel > 0.02 {
+		t.Fatalf("mh ppl %.4f vs dense ppl %.4f: relative gap %.4f > 0.02", pm, pd, rel)
+	}
+}
+
+// TestMHSamplerSeparatesTopics is the MH twin of TestRunSeparatesTopics:
+// the core must actually converge, not just run.
+func TestMHSamplerSeparatesTopics(t *testing.T) {
+	docs, labels := synthCorpus(100, 20, 1)
+	m := Must(Run(docs, 10, Config{K: 2, Iters: 100, Seed: 2, Sampler: SamplerMH}))
+	argmax := func(x []float64) int {
+		best := 0
+		for i := range x {
+			if x[i] > x[best] {
+				best = i
+			}
+		}
+		return best
+	}
+	agree := map[int]map[int]int{0: {}, 1: {}}
+	for d := range docs {
+		agree[labels[d]][argmax(m.Theta[d])]++
+	}
+	sep := 0
+	for lbl := range agree {
+		bestC := 0
+		for _, c := range agree[lbl] {
+			if c > bestC {
+				bestC = c
+			}
+		}
+		sep += bestC
+	}
+	if acc := float64(sep) / 100; acc < 0.9 {
+		t.Fatalf("MH sampler separation accuracy = %v, want >= 0.9", acc)
 	}
 }

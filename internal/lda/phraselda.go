@@ -2,7 +2,6 @@ package lda
 
 import (
 	"fmt"
-	"time"
 
 	"lesm/internal/par"
 )
@@ -23,14 +22,14 @@ type PhraseDoc [][]int
 // Like Run, sweeps execute as chunked document passes on the shared
 // parallel runtime with per-document (Seed, doc, sweep) PRNG streams and
 // chunk-ordered delta merging, so the model is bit-identical at any
-// Config.P. The sparse core applies to single-word phrases — for those the
-// conditional is exactly token LDA's, so they go through the bucket+alias
-// decomposition at O(K_d) amortized; multi-word phrases keep the dense
-// O(K·len) product (the bucket split does not factor across a product of
-// word likelihoods) while reading counts through the same incremental
-// state. Since segmented corpora are dominated by unigram phrases, the
-// sparse win carries over. RunPhrases returns an error when the config or
-// a token id is invalid, or when Config.Ctx is cancelled.
+// Config.P. The MH core applies to single-word phrases — for those the
+// conditional is exactly token LDA's, so they go through the O(1) MH
+// kernel; multi-word phrases keep the dense O(K·len) product (the alias
+// proposals do not factor across a product of word likelihoods) while
+// reading counts through the same chunk state. Since segmented corpora
+// are dominated by unigram phrases, the MH win carries over. RunPhrases
+// returns an error when the config or a token id is invalid, or when
+// Config.Ctx is cancelled.
 func RunPhrases(docs []PhraseDoc, v int, cfg Config) (*Model, error) {
 	if err := cfg.validate(v); err != nil {
 		return nil, err
@@ -82,7 +81,7 @@ func RunPhrases(docs []PhraseDoc, v int, cfg Config) (*Model, error) {
 			func(di, slot, j int) int { return docs[di][slot][j] })
 		start = cp.Sweep
 	} else {
-		err := gibbsPass(o, cfg.Seed, 0, d, sc, nKV, nK, nil, nil,
+		err := gibbsPass(o, cfg.Seed, 0, d, sc, nKV, nK, nil,
 			func(_, di int, rng *stream, dl *delta, _ []float64) {
 				doc := docs[di]
 				nDK[di] = make([]int, kTotal)
@@ -108,11 +107,6 @@ func RunPhrases(docs []PhraseDoc, v int, cfg Config) (*Model, error) {
 	var err error
 	rebuilds := 0
 	switch core {
-	case SamplerSparse:
-		err = runPhrasesSparse(o, cfg, docs, v, d, start, sc, alpha, nDK, nKV, nK, zP, rr, ck)
-		if d > 0 {
-			rebuilds = cfg.Iters
-		}
 	case SamplerMH:
 		rebuilds, err = runPhrasesMH(o, cfg, docs, v, d, start, sc, alpha, nDK, nKV, nK, zP, rr, ck)
 	default:
@@ -142,7 +136,7 @@ func RunPhrases(docs []PhraseDoc, v int, cfg Config) (*Model, error) {
 // samplePhrase draws a topic for one (already-removed) phrase from the
 // dense product conditional, reading effective counts (global + own-chunk
 // delta) by direct indexing — this is the innermost loop of both phrase
-// cores, shared so the dense/sparse A/B can never desynchronize on the
+// cores, shared so the dense/MH A/B can never desynchronize on the
 // phrase math (the in-phrase duplicate-word correction c and the
 // position-shifted denominator). Consumes exactly one PRNG step.
 func samplePhrase(phrase []int, nDK, nK []int, nKV [][]int, dl *delta,
@@ -179,7 +173,7 @@ func runPhrasesDense(o par.Opts, cfg Config, docs []PhraseDoc, v, d, kTotal, sta
 	alpha []float64, nDK [][]int, nKV [][]int, nK []int, zP [][]int, rr *runRecorder, ck *ckptState) error {
 	vb := float64(v) * cfg.Beta
 	for it := start; it < cfg.Iters; it++ {
-		err := gibbsPass(o, cfg.Seed, uint64(it+1), d, sc, nKV, nK, nil, nil,
+		err := gibbsPass(o, cfg.Seed, uint64(it+1), d, sc, nKV, nK, nil,
 			func(_, di int, rng *stream, dl *delta, probs []float64) {
 				doc := docs[di]
 				for pi, phrase := range doc {
@@ -204,69 +198,6 @@ func runPhrasesDense(o par.Opts, cfg Config, docs []PhraseDoc, v, d, kTotal, sta
 			return err
 		}
 		if err := rr.endSweep(o, it+1, 0, 0); err != nil {
-			return err
-		}
-		if err := ck.boundary(it + 1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func runPhrasesSparse(o par.Opts, cfg Config, docs []PhraseDoc, v, d, start int, sc *sweepScratch,
-	alpha []float64, nDK [][]int, nKV [][]int, nK []int, zP [][]int, rr *runRecorder, ck *ckptState) error {
-	if d == 0 {
-		// Every pass is a no-op; skip the per-sweep O(K·V) alias rebuilds.
-		return o.Err()
-	}
-	qa := newQAlias(v)
-	sc.enableSparse(alpha, cfg.Beta, v, nKV, nK, qa)
-	rr.prime(start, 0)
-	var rebuildT time.Duration
-	for it := start; it < cfg.Iters; it++ {
-		var t0 time.Time
-		if rr != nil {
-			t0 = time.Now()
-		}
-		if err := qa.rebuild(o, alpha, cfg.Beta, nKV, nK); err != nil {
-			return err
-		}
-		if rr != nil {
-			rebuildT += time.Since(t0)
-		}
-		err := gibbsPass(o, cfg.Seed, uint64(it+1), d, sc, nKV, nK,
-			func(c int) { sc.sparse[c].beginPass() }, nil,
-			func(c, di int, rng *stream, _ *delta, probs []float64) {
-				ch := sc.sparse[c]
-				ch.beginDoc(nDK[di])
-				doc := docs[di]
-				for pi, phrase := range doc {
-					kOld := zP[di][pi]
-					k := kOld
-					for _, w := range phrase {
-						ch.adjust(k, w, -1)
-					}
-					if len(phrase) == 1 {
-						k = ch.sampleToken(phrase[0], rng)
-					} else {
-						// Multi-word phrases keep the dense product — the
-						// bucket split does not factor across a product
-						// of word likelihoods.
-						k = samplePhrase(phrase, ch.nDK, nK, nKV, ch.dl, alpha, ch.beta, ch.vb, probs, rng)
-					}
-					if k != kOld {
-						ch.dl.ctr.changed += int64(len(phrase))
-					}
-					zP[di][pi] = k
-					for _, w := range phrase {
-						ch.adjust(k, w, 1)
-					}
-				}
-			})
-		if err != nil {
-			return err
-		}
-		if err := rr.endSweep(o, it+1, it+1, rebuildT); err != nil {
 			return err
 		}
 		if err := ck.boundary(it + 1); err != nil {

@@ -35,7 +35,7 @@ func (c *collectRecorder) RecordPool(p obs.PoolStats) {
 // any way, for every sampler core, at serial and high parallelism.
 func TestRecorderBitIdentity(t *testing.T) {
 	docs, _ := synthCorpus(60, 24, 11)
-	for _, sampler := range []Sampler{SamplerDense, SamplerSparse, SamplerMH} {
+	for _, sampler := range []Sampler{SamplerDense, SamplerMH} {
 		for _, p := range []int{1, 8} {
 			cfg := Config{K: 3, Iters: 12, Seed: 7, Sampler: sampler, P: p}
 			base := Must(Run(docs, 10, cfg))
@@ -57,7 +57,7 @@ func TestRecorderBitIdentity(t *testing.T) {
 }
 
 // TestRecorderBitIdentityPhrases is the same contract for the phrase
-// cores (RunPhrases shares gibbsPass but has its own three sweep loops).
+// cores (RunPhrases shares gibbsPass but has its own two sweep loops).
 func TestRecorderBitIdentityPhrases(t *testing.T) {
 	raw, _ := synthCorpus(40, 18, 13)
 	docs := make([]PhraseDoc, len(raw))
@@ -75,7 +75,7 @@ func TestRecorderBitIdentityPhrases(t *testing.T) {
 		}
 		docs[i] = pd
 	}
-	for _, sampler := range []Sampler{SamplerDense, SamplerSparse, SamplerMH} {
+	for _, sampler := range []Sampler{SamplerDense, SamplerMH} {
 		for _, p := range []int{1, 8} {
 			cfg := Config{K: 3, Iters: 8, Seed: 17, Sampler: sampler, P: p}
 			base := Must(RunPhrases(docs, 10, cfg))
@@ -159,7 +159,6 @@ func TestAliasRebuildAccounting(t *testing.T) {
 		want    int
 	}{
 		{SamplerDense, 0, 0},
-		{SamplerSparse, 0, 10}, // one per sweep
 		{SamplerMH, 4, 1 + (10-1)/4},
 		{SamplerMH, 1, 10}, // rebuild every sweep: initial + 9
 	}
@@ -240,7 +239,7 @@ func TestFoldInRecorder(t *testing.T) {
 	m := Must(Run(docs, 10, Config{K: 3, Iters: 30, Seed: 47}))
 	fm := FoldInModelFromCounts(m.NKV, m.NK, DefaultFoldInAlpha, m.Beta)
 	queries := [][]int{{0, 1, 2, 3}, {5, 6, 7}, {2, 7, 9, 1, 4}}
-	for _, sampler := range []Sampler{SamplerDense, SamplerSparse, SamplerMH} {
+	for _, sampler := range []Sampler{SamplerDense, SamplerMH} {
 		cfg := FoldInConfig{Seed: 3, Sweeps: 5, Sampler: sampler}
 		base, err := FoldIn(fm, queries, cfg)
 		if err != nil {
@@ -303,7 +302,7 @@ func TestNilRecorderSweepAllocFree(t *testing.T) {
 			dl.add(kk, w, 1)
 		}
 	}
-	if err := gibbsPass(o, 1, 0, d, sc, nKV, nK, nil, nil, initVisit); err != nil {
+	if err := gibbsPass(o, 1, 0, d, sc, nKV, nK, nil, initVisit); err != nil {
 		t.Fatal(err)
 	}
 
@@ -342,7 +341,7 @@ func TestNilRecorderSweepAllocFree(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		sweep++
-		if err := gibbsPass(o, 1, sweep, d, sc, nKV, nK, nil, nil, visit); err != nil {
+		if err := gibbsPass(o, 1, sweep, d, sc, nKV, nK, nil, visit); err != nil {
 			t.Fatal(err)
 		}
 	})

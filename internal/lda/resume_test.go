@@ -72,12 +72,10 @@ func TestResumeBitIdentical(t *testing.T) {
 	}{
 		{"dense/p1", SamplerDense, false, true, 1, 1},
 		{"dense/p8", SamplerDense, false, false, 8, 8},
-		{"sparse/p1", SamplerSparse, false, false, 1, 1},
-		{"sparse/p8", SamplerSparse, false, true, 8, 8},
 		{"mh/p1", SamplerMH, false, false, 1, 1},
 		{"mh/p8", SamplerMH, false, false, 8, 8},
 		{"dense/phrase/p8", SamplerDense, true, false, 8, 8},
-		{"sparse/phrase/p1", SamplerSparse, true, false, 1, 1},
+		{"dense/phrase/p1", SamplerDense, true, false, 1, 1},
 		{"mh/phrase/p8", SamplerMH, true, true, 8, 8},
 		// Checkpoint at one parallelism level, resume at another: P is
 		// deliberately outside the fingerprint because the trajectory is
@@ -132,7 +130,7 @@ func sweepsOf(ckpts map[int]*Checkpoint) []int {
 // with ErrStopped after a final checkpoint, and resuming that checkpoint
 // completes to the exact model the uninterrupted run produces.
 func TestStopCheckpointResume(t *testing.T) {
-	for _, sampler := range []Sampler{SamplerDense, SamplerSparse, SamplerMH} {
+	for _, sampler := range []Sampler{SamplerDense, SamplerMH} {
 		sampler := sampler
 		t.Run(string(sampler), func(t *testing.T) {
 			t.Parallel()
@@ -230,6 +228,18 @@ func TestResumeRejectsMismatch(t *testing.T) {
 			t.Fatal("token checkpoint accepted by a phrase fit")
 		}
 	})
+	// A checkpoint written by the removed sparse core fails cleanly: the
+	// name is a validation error, and no remaining core's fingerprint
+	// matches it.
+	t.Run("removed-sparse-core", func(t *testing.T) {
+		old := *cp
+		old.Fingerprint.Sampler = "sparse"
+		for _, s := range []Sampler{SamplerAuto, SamplerDense, SamplerMH, "sparse"} {
+			if _, err := Run(docs, 10, Config{K: 2, Iters: 12, Seed: 6, Sampler: s, Resume: &old}); err == nil {
+				t.Fatalf("sparse-core checkpoint resumed with Sampler %q", s)
+			}
+		}
+	})
 }
 
 // TestCheckpointConfigValidation: the checkpoint knobs validate like
@@ -248,7 +258,7 @@ func TestCheckpointConfigValidation(t *testing.T) {
 // produces the same model as one without — capturing state must not
 // perturb the trajectory.
 func TestCheckpointingIsObservational(t *testing.T) {
-	for _, sampler := range []Sampler{SamplerSparse, SamplerMH} {
+	for _, sampler := range []Sampler{SamplerDense, SamplerMH} {
 		t.Run(string(sampler), func(t *testing.T) {
 			cfg := Config{K: 2, Iters: 15, Seed: 11, Sampler: sampler, AliasRefresh: 3, P: 4}
 			want := fitOnce(t, false, cfg, nil)

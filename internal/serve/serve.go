@@ -41,11 +41,10 @@ type Options struct {
 	Alpha float64
 	// Sampler selects the fold-in sampling core ("" = auto, resolved per
 	// workload as in lda.Sampler.ResolveFor; "mh" = Metropolis–Hastings
-	// alias proposals; "sparse" = the bucket+alias core; "dense" = the
-	// O(K)-per-token core for A/B validation). All cores sample the same
-	// conditional through different deterministic trajectories; the
-	// non-dense ones precompute per-word alias tables at startup (~2
-	// extra words of memory per topic-word cell).
+	// alias proposals; "dense" = the O(K)-per-token core for A/B
+	// validation). Both cores sample the same conditional through
+	// different deterministic trajectories; MH precomputes per-word alias
+	// tables at startup (~2 extra words of memory per topic-word cell).
 	Sampler lda.Sampler
 
 	// SnapshotPath is the on-disk snapshot backing hot reload: POST
@@ -223,9 +222,9 @@ func buildArtifact(snap *store.Snapshot, opt Options, gen uint64, closer io.Clos
 		} else if t.Phi != nil {
 			a.foldIn = lda.NewFoldInModel(t.Phi, opt.Alpha)
 		}
-		if a.foldIn != nil && opt.Sampler.ResolveFor(a.foldIn.K(), a.foldIn.V()) != lda.SamplerDense {
-			// Pay the alias-table O(K·V) build at load, not on the first
-			// /infer request against this artifact.
+		if a.foldIn != nil && opt.Sampler.ResolveFor(a.foldIn.K(), a.foldIn.V()) == lda.SamplerMH {
+			// Pay the MH alias-table O(K·V) build at load, not on the
+			// first /infer request against this artifact.
 			a.foldIn.PrecomputeSparse()
 		}
 	}
@@ -316,6 +315,12 @@ type Server struct {
 	// jobs feeds the coalescer collector; nil when coalescing is off.
 	jobs chan *inferJob
 
+	// sampleCtx, when non-nil, wraps the context the direct /infer path
+	// hands to fold-in sampling — a test hook for observing the
+	// between-chunk cancellation checks. Set before serving; nil in
+	// production.
+	sampleCtx func(context.Context) context.Context
+
 	// reloadMu serializes artifact swaps; lastStamp is the stamp of the
 	// last snapshot loaded from SnapshotPath.
 	reloadMu  sync.Mutex
@@ -351,8 +356,8 @@ type Server struct {
 // early but releases no mappings.
 func New(snap *store.Snapshot, opt Options) (*Server, error) {
 	if !opt.Sampler.Valid() {
-		return nil, fmt.Errorf("serve: unknown fold-in sampler %q (want %q, %q or %q)",
-			opt.Sampler, lda.SamplerMH, lda.SamplerSparse, lda.SamplerDense)
+		return nil, fmt.Errorf("serve: unknown fold-in sampler %q (want %q for auto, %q or %q)",
+			opt.Sampler, lda.SamplerAuto, lda.SamplerMH, lda.SamplerDense)
 	}
 	opt = opt.withDefaults()
 	a, err := buildArtifact(snap, opt, 1, nil)
@@ -1174,6 +1179,15 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if sweeps > maxInferSweeps {
 		sweeps = maxInferSweeps
 	}
+	// A route deadline that expired while the body was decoding would
+	// otherwise race a free slot in the select below (select picks at
+	// random among ready cases), sampling a batch nobody will receive.
+	// Answer it here, before any sampling, with its own message. A client
+	// that hung up is left to the slot wait: nobody reads that reply.
+	if errors.Is(r.Context().Err(), context.DeadlineExceeded) {
+		writeErr(w, http.StatusServiceUnavailable, "deadline exceeded before sampling")
+		return
+	}
 
 	if s.jobs != nil {
 		s.inferCoalesced(w, r, &req, sweeps)
@@ -1206,8 +1220,12 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	s.inferBatches.Add(1)
 	s.inferRequests.Add(1)
 	s.metrics.batchDocs.Observe(float64(len(batch)))
+	ctx := r.Context()
+	if s.sampleCtx != nil {
+		ctx = s.sampleCtx(ctx)
+	}
 	theta, err := lda.FoldIn(a.foldIn, batch, lda.FoldInConfig{
-		Seed: req.Seed, Sweeps: sweeps, P: s.opt.P, Sampler: s.opt.Sampler, Ctx: r.Context(),
+		Seed: req.Seed, Sweeps: sweeps, P: s.opt.P, Sampler: s.opt.Sampler, Ctx: ctx,
 		Rec: s.metrics,
 	})
 	if err != nil {

@@ -584,10 +584,12 @@ func TestMissingSections(t *testing.T) {
 	}
 }
 
-// TestInferSamplerOptions pins the fold-in sampler plumbing: both cores
-// serve /infer, each is deterministic per (seed, docs), they follow
-// distinct trajectories over the same conditional, and an unknown sampler
-// name is rejected at startup rather than per request.
+// TestInferSamplerOptions pins the fold-in sampler plumbing: the default
+// serves through exactly the core Sampler.ResolveFor picks for the
+// snapshot, both cores are deterministic per (seed, docs) and agree on
+// each document's dominant topic, and a name outside the three valid
+// values — including the removed "sparse" — is rejected at startup rather
+// than per request.
 func TestInferSamplerOptions(t *testing.T) {
 	body := map[string]any{"seed": 4, "ids": [][]int{{0, 1, 2, 0, 3}, {5, 6, 7, 8}}}
 	thetaOf := func(opt Options) [][]any {
@@ -600,14 +602,15 @@ func TestInferSamplerOptions(t *testing.T) {
 		}
 		return got
 	}
-	sparse := thetaOf(Options{Sampler: lda.SamplerSparse})
-	auto := thetaOf(Options{})
-	dense := thetaOf(Options{Sampler: lda.SamplerDense})
-	if !reflect.DeepEqual(sparse, auto) {
-		t.Fatal("default sampler is not the sparse core")
+	nkv := testSnapshot(t).Topics.NKV
+	resolved := lda.SamplerAuto.ResolveFor(len(nkv), len(nkv[0]))
+	if auto, explicit := thetaOf(Options{}), thetaOf(Options{Sampler: resolved}); !reflect.DeepEqual(auto, explicit) {
+		t.Fatalf("default sampler differs from the resolved %q core: %v vs %v", resolved, auto, explicit)
 	}
 	// Same conditional, different trajectories: both must put doc 0 on the
 	// database topic and doc 1 on the learning topic.
+	mh := thetaOf(Options{Sampler: lda.SamplerMH})
+	dense := thetaOf(Options{Sampler: lda.SamplerDense})
 	argmax := func(row []any) int {
 		best := 0
 		for i := range row {
@@ -617,11 +620,15 @@ func TestInferSamplerOptions(t *testing.T) {
 		}
 		return best
 	}
-	if argmax(sparse[0]) != argmax(dense[0]) || argmax(sparse[1]) != argmax(dense[1]) {
-		t.Fatalf("cores disagree on topic assignment: sparse %v dense %v", sparse, dense)
+	for d := range dense {
+		if argmax(mh[d]) != argmax(dense[d]) {
+			t.Fatalf("cores disagree on doc %d's topic: mh %v dense %v", d, mh[d], dense[d])
+		}
 	}
 
-	if _, err := New(testSnapshot(t), Options{Sampler: "metropolis"}); err == nil {
-		t.Fatal("unknown sampler accepted at startup")
+	for _, name := range []lda.Sampler{"metropolis", "sparse"} {
+		if _, err := New(testSnapshot(t), Options{Sampler: name}); err == nil {
+			t.Fatalf("unknown sampler %q accepted at startup", name)
+		}
 	}
 }

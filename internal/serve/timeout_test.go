@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"context"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -29,42 +32,104 @@ func TestRouteTimeoutQueuedInfer(t *testing.T) {
 	}
 }
 
+// chunkGateCtx lets fold-in sample its first chunk, then holds the
+// sampler at its next between-chunk cancellation check until the wrapped
+// (route-deadline) context is done. A deadline that fires there has
+// provably landed mid-sampling, however long the request took to decode.
+type chunkGateCtx struct {
+	context.Context
+	checks atomic.Int32
+}
+
+func (c *chunkGateCtx) Err() error {
+	if c.checks.Add(1) == 2 {
+		<-c.Done()
+	}
+	return c.Context.Err()
+}
+
+// newHookedServer is newTestServerPair with the sampling-context hook
+// installed before the listener starts, so handler goroutines see it.
+func newHookedServer(t *testing.T, opt Options, hook func(context.Context) context.Context) *httptest.Server {
+	t.Helper()
+	s, err := New(testSnapshot(t), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.sampleCtx = hook
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	return ts
+}
+
 // TestRouteTimeoutAbortsRunningFoldIn: the timeout must cancel fold-in
 // work already sampling, not just queued waiters — the batch aborts at its
 // next inter-chunk cancellation check and answers 503.
 func TestRouteTimeoutAbortsRunningFoldIn(t *testing.T) {
-	ts, _ := newTestServerPair(t, Options{
+	gates := make(chan *chunkGateCtx, 1)
+	ts := newHookedServer(t, Options{
 		RouteTimeout: 150 * time.Millisecond,
-		// P=1 pins the fold-in serial regardless of the host's core count,
-		// and the dense core is the slowest per token: the request below
-		// runs for seconds without the timeout on any machine, so a fast
-		// 503 proves the abort, not the workload finishing.
-		Sampler: "dense", P: 1,
+		// P=1 runs the fold-in chunks serially, so the gate's second
+		// cancellation check comes after chunk 0 finished sampling.
+		P: 1,
+	}, func(ctx context.Context) context.Context {
+		g := &chunkGateCtx{Context: ctx}
+		gates <- g
+		return g
 	})
-	// 256 documents × 400 tokens × 500 sweeps, split into 32 chunks with a
-	// cancellation check before each: completing inside 150ms is
-	// impossible, aborting within one chunk of the deadline is guaranteed.
-	ids := make([][]int, 256)
+	// Eight documents are eight fold-in chunks; the body is small, so
+	// decoding it takes a negligible share of the 150ms deadline.
+	ids := make([][]int, 8)
 	for i := range ids {
-		doc := make([]int, 400)
-		for j := range doc {
-			doc[j] = (i + j) % 10
-		}
-		ids[i] = doc
+		ids[i] = []int{i % 10, (i + 1) % 10, (i + 2) % 10}
 	}
 	start := time.Now()
-	status, out := postInfer(t, ts.URL, inferBody(t, 7, ids, 500))
+	status, out := postInfer(t, ts.URL, inferBody(t, 7, ids, 20))
 	elapsed := time.Since(start)
 	if status != http.StatusServiceUnavailable {
-		t.Fatalf("oversized request: status %d after %s (%v)", status, elapsed, out)
+		t.Fatalf("gated request: status %d after %s (%v)", status, elapsed, out)
 	}
 	if msg, _ := out["error"].(string); !strings.Contains(msg, "aborted") {
 		t.Fatalf("expected a mid-sampling abort, got: %v", out)
 	}
-	// Generous bound: the abort must come from the timeout, not from the
-	// sampling finishing (which takes far longer than 10s under -race).
+	var g *chunkGateCtx
+	select {
+	case g = <-gates:
+	default:
+		t.Fatal("fold-in never started sampling")
+	}
+	if n := g.checks.Load(); n < 2 {
+		t.Fatalf("fold-in made %d cancellation checks, want >= 2 (abort before the first chunk sampled)", n)
+	}
+	// The gate waits for the route deadline, so the abort must come from
+	// the timeout reaching the sampler, not from anything slower.
 	if elapsed > 10*time.Second {
 		t.Fatalf("abort took %s — cancellation not reaching the sampler", elapsed)
+	}
+}
+
+// TestRouteTimeoutBeforeSampling: a deadline that has already expired
+// when the body is decoded is answered at once with its own 503, on the
+// direct and the coalesced path alike, and no sampling starts.
+func TestRouteTimeoutBeforeSampling(t *testing.T) {
+	for _, opt := range []Options{
+		{RouteTimeout: time.Nanosecond},
+		{RouteTimeout: time.Nanosecond, BatchWindow: time.Millisecond, MaxBatchDocs: 64},
+	} {
+		ts, s := newTestServerPair(t, opt)
+		status, out := postInfer(t, ts.URL, inferBody(t, 1, [][]int{{0, 1, 2}}, 3))
+		if status != http.StatusServiceUnavailable {
+			t.Fatalf("batch window %s: expired request: status %d (%v)", opt.BatchWindow, status, out)
+		}
+		if msg, _ := out["error"].(string); !strings.Contains(msg, "deadline exceeded before sampling") {
+			t.Fatalf("batch window %s: unexpected error message: %v", opt.BatchWindow, out)
+		}
+		if n := s.inferBatches.Load(); n != 0 {
+			t.Fatalf("batch window %s: %d fold-in batches ran for a request past its deadline", opt.BatchWindow, n)
+		}
 	}
 }
 

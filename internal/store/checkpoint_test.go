@@ -16,7 +16,7 @@ import (
 func sampleCheckpoint(withMH bool) *lda.Checkpoint {
 	cp := &lda.Checkpoint{
 		Fingerprint: lda.Fingerprint{
-			Engine: "lda", Sampler: lda.SamplerSparse, K: 2, V: 3,
+			Engine: "lda", Sampler: lda.SamplerDense, K: 2, V: 3,
 			Alpha: 0.5, Beta: 0.01, Iters: 20, Seed: 42,
 			AliasRefresh: 3, Docs: 3, Tokens: 5, CorpusHash: 0xfeedbeefcafe,
 		},
