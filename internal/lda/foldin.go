@@ -212,58 +212,7 @@ func FoldIn(fm *FoldInModel, docs [][]int, cfg FoldInConfig) ([][]float64, error
 	err = par.For(w.parOpts(), len(docs), func(lo, hi int) {
 		sc := w.newScratch()
 		for di := lo; di < hi; di++ {
-			theta[di] = w.doc(sc, docs[di], w.cfg.Seed, uint64(di), w.cfg.Sweeps)
-		}
-		agg.absorb(&sc.ctr)
-	})
-	if err != nil {
-		return nil, err
-	}
-	agg.emit(len(docs), w.cfg.Sweeps)
-	return theta, nil
-}
-
-// BatchDoc is one document of a heterogeneous fold-in batch. Its sampling
-// trajectory is keyed by its own (Seed, Index) pair — not by its position
-// in the batch — so a coalescing server can merge documents from
-// independent requests into one sweep batch without changing any
-// request's result.
-type BatchDoc struct {
-	// Tokens are the document's vocabulary ids; ids outside [0, V) are
-	// skipped exactly as in FoldIn.
-	Tokens []int
-	// Seed and Index key the document's PRNG streams: the document draws
-	// from the (Seed, Index, sweep) streams, making its theta identical to
-	// document Index of a FoldIn batch run with FoldInConfig.Seed = Seed.
-	Seed  int64
-	Index uint64
-	// Sweeps overrides cfg.Sweeps for this document when > 0, so requests
-	// with different sweep counts can share a batch.
-	Sweeps int
-}
-
-// FoldInBatch is FoldIn over documents that do not share one (seed,
-// position) keying — the request-coalescing entry point the serving layer
-// uses to merge concurrent /infer requests into a single batch on the
-// shared pool. theta[i] is bit-identical to what FoldIn would return for
-// docs[i].Tokens at index docs[i].Index under seed docs[i].Seed, at any
-// cfg.P and regardless of batch composition.
-func FoldInBatch(fm *FoldInModel, docs []BatchDoc, cfg FoldInConfig) ([][]float64, error) {
-	w, err := newFoldInWorkload(fm, cfg)
-	if err != nil {
-		return nil, err
-	}
-	agg := newFoldInAgg(cfg.Rec)
-	theta := make([][]float64, len(docs))
-	err = par.For(w.parOpts(), len(docs), func(lo, hi int) {
-		sc := w.newScratch()
-		for di := lo; di < hi; di++ {
-			d := docs[di]
-			sweeps := d.Sweeps
-			if sweeps <= 0 {
-				sweeps = w.cfg.Sweeps
-			}
-			theta[di] = w.doc(sc, d.Tokens, d.Seed, d.Index, sweeps)
+			theta[di] = w.doc(sc, docs[di], uint64(di))
 		}
 		agg.absorb(&sc.ctr)
 	})
@@ -374,9 +323,10 @@ func (w *foldInWorkload) newScratch() *foldInScratch {
 	return &foldInScratch{nDK: make([]int, w.k), vals: make([]float64, w.k)}
 }
 
-// doc samples one document through the workload's core. The (seed, index,
-// sweeps) triple fully determines the trajectory.
-func (w *foldInWorkload) doc(sc *foldInScratch, doc []int, seed int64, index uint64, sweeps int) []float64 {
+// doc samples document index of the batch through the workload's core.
+// (cfg.Seed, index, cfg.Sweeps) fully determines the trajectory.
+func (w *foldInWorkload) doc(sc *foldInScratch, doc []int, index uint64) []float64 {
+	seed, sweeps := w.cfg.Seed, w.cfg.Sweeps
 	if w.core == SamplerMH {
 		return foldInDocMH(w.fm, doc, seed, index, sweeps, sc.nDK, w.alphaSum, w.v, &sc.ctr)
 	}

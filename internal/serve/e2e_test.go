@@ -100,9 +100,9 @@ func mustPost(t *testing.T, url string, body []byte) map[string]any {
 }
 
 // TestServingEndToEnd is the full production-shaped loop: fit → Save →
-// mmap-load → serve (coalescing on) → exercise every route → hammer
-// /infer from concurrent clients while hot-reload swaps land, asserting
-// zero 5xx and per-generation deterministic outputs.
+// mmap-load → serve (16-document request cap) → exercise every route →
+// hammer /infer from concurrent clients while hot-reload swaps land,
+// asserting zero 5xx and per-generation deterministic outputs.
 func TestServingEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.lesm")
@@ -118,7 +118,6 @@ func TestServingEndToEnd(t *testing.T) {
 	s, err := serve.New(snap, serve.Options{
 		SnapshotPath: path,
 		MMap:         true,
-		BatchWindow:  2 * time.Millisecond,
 		MaxBatchDocs: 16,
 		MaxInFlight:  4,
 	})

@@ -24,8 +24,6 @@ import (
 //     admitted request is ever failed by overload (zero 5xx on admitted);
 //   - after the storm drains, the goroutine count returns to the
 //     pre-storm baseline (nothing leaks per shed or per admitted request).
-//
-// Both /infer execution paths are exercised: direct and coalesced.
 func TestSaturationShedsAndRecovers(t *testing.T) {
 	const (
 		inflight = 2
@@ -33,125 +31,114 @@ func TestSaturationShedsAndRecovers(t *testing.T) {
 		capacity = inflight + queue
 		total    = 4 * capacity
 	)
-	modes := []struct {
-		name string
-		opt  Options
-	}{
-		{"direct", Options{MaxInFlight: inflight, MaxQueue: queue}},
-		{"coalesced", Options{MaxInFlight: inflight, MaxQueue: queue,
-			BatchWindow: 30 * time.Second, MaxBatchDocs: 64}},
-	}
-	for _, mode := range modes {
-		mode := mode
-		t.Run(mode.name, func(t *testing.T) {
-			s, err := New(testSnapshot(t), mode.opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := httptest.NewServer(s.Handler())
-			t.Cleanup(func() { ts.Close(); s.Close() })
+	t.Run("direct", func(t *testing.T) {
+		s, err := New(testSnapshot(t), Options{MaxInFlight: inflight, MaxQueue: queue})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(func() { ts.Close(); s.Close() })
 
-			// Baseline with the server's own goroutines already running.
+		// Baseline with the server's own goroutines already running.
+		runtime.GC()
+		time.Sleep(50 * time.Millisecond)
+		baseline := runtime.NumGoroutine()
+
+		// Pin every in-flight slot busy: nothing admitted can complete
+		// until we release, so admission fills to exactly capacity and
+		// every further request must shed.
+		for i := 0; i < inflight; i++ {
+			s.inferSem <- struct{}{}
+		}
+
+		type result struct {
+			status     int
+			retryAfter string
+		}
+		results := make(chan result, total)
+		for i := 0; i < total; i++ {
+			go func(i int) {
+				resp, err := http.Post(ts.URL+"/infer", "application/json",
+					bytes.NewReader(inferBody(t, int64(i), [][]int{{0, 1, 2}}, 3)))
+				if err != nil {
+					t.Error(err)
+					results <- result{}
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				results <- result{resp.StatusCode, resp.Header.Get("Retry-After")}
+			}(i)
+		}
+
+		// While the slots are pinned, admitted requests cannot answer —
+		// so the first total-capacity responses are exactly the sheds.
+		for i := 0; i < total-capacity; i++ {
+			r := <-results
+			if r.status != http.StatusServiceUnavailable {
+				t.Fatalf("shed response %d: status %d, want 503", i, r.status)
+			}
+			if r.retryAfter == "" {
+				t.Fatalf("shed response %d carries no Retry-After", i)
+			}
+		}
+
+		// Mid-saturation scrape: the sheds all happened (we hold their
+		// responses) and the admitted set is pinned in place, so the
+		// gauges are exact, not racy.
+		got := scrape(t, ts.URL)
+		if v := got[`lesmd_infer_shed_total`]; v != total-capacity {
+			t.Errorf("shed_total = %g, want %d", v, total-capacity)
+		}
+		if v := got[`lesmd_infer_admitted`]; v != capacity {
+			t.Errorf("admitted = %g, want %d (bounded queue overflowed)", v, capacity)
+		}
+		if v := got[`lesmd_infer_in_flight`]; v != inflight {
+			t.Errorf("in_flight = %g, want %d", v, inflight)
+		}
+		if v := got[`lesmd_infer_queue_depth`]; v != queue {
+			t.Errorf("queue_depth = %g, want %d", v, queue)
+		}
+
+		// Release the slots: every admitted request must now complete
+		// 200 — admission never fails a request it accepted.
+		for i := 0; i < inflight; i++ {
+			<-s.inferSem
+		}
+		for i := 0; i < capacity; i++ {
+			r := <-results
+			if r.status != http.StatusOK {
+				t.Fatalf("admitted request answered %d, want 200", r.status)
+			}
+		}
+
+		got = scrape(t, ts.URL)
+		if v := got[`lesmd_infer_admitted`]; v != 0 {
+			t.Errorf("post-drain admitted = %g, want 0", v)
+		}
+		if v := got[`lesmd_infer_requests_total`]; v != capacity {
+			t.Errorf("infer_requests_total = %g, want %d", v, capacity)
+		}
+		if v := got[`lesmd_http_requests_total{route="infer"}`]; v != total {
+			t.Errorf("infer route requests = %g, want %d", v, total)
+		}
+		if v := got[`lesmd_http_errors_total{route="infer",code="503"}`]; v != total-capacity {
+			t.Errorf("infer 503s = %g, want %d", v, total-capacity)
+		}
+
+		// Goroutine drain: the storm must leave nothing behind. Idle
+		// keep-alive client conns hold goroutines on both ends; close
+		// them before comparing.
+		http.DefaultClient.CloseIdleConnections()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
 			runtime.GC()
-			time.Sleep(50 * time.Millisecond)
-			baseline := runtime.NumGoroutine()
-
-			// Pin every in-flight slot busy: nothing admitted can complete
-			// until we release, so admission fills to exactly capacity and
-			// every further request must shed.
-			for i := 0; i < inflight; i++ {
-				s.inferSem <- struct{}{}
-			}
-
-			type result struct {
-				status     int
-				retryAfter string
-			}
-			results := make(chan result, total)
-			for i := 0; i < total; i++ {
-				go func(i int) {
-					resp, err := http.Post(ts.URL+"/infer", "application/json",
-						bytes.NewReader(inferBody(t, int64(i), [][]int{{0, 1, 2}}, 3)))
-					if err != nil {
-						t.Error(err)
-						results <- result{}
-						return
-					}
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					results <- result{resp.StatusCode, resp.Header.Get("Retry-After")}
-				}(i)
-			}
-
-			// While the slots are pinned, admitted requests cannot answer —
-			// so the first total-capacity responses are exactly the sheds.
-			for i := 0; i < total-capacity; i++ {
-				r := <-results
-				if r.status != http.StatusServiceUnavailable {
-					t.Fatalf("shed response %d: status %d, want 503", i, r.status)
-				}
-				if r.retryAfter == "" {
-					t.Fatalf("shed response %d carries no Retry-After", i)
-				}
-			}
-
-			// Mid-saturation scrape: the sheds all happened (we hold their
-			// responses) and the admitted set is pinned in place, so the
-			// gauges are exact, not racy.
-			got := scrape(t, ts.URL)
-			if v := got[`lesmd_infer_shed_total`]; v != total-capacity {
-				t.Errorf("shed_total = %g, want %d", v, total-capacity)
-			}
-			if v := got[`lesmd_infer_admitted`]; v != capacity {
-				t.Errorf("admitted = %g, want %d (bounded queue overflowed)", v, capacity)
-			}
-			if v := got[`lesmd_infer_in_flight`]; v != inflight {
-				t.Errorf("in_flight = %g, want %d", v, inflight)
-			}
-			if v := got[`lesmd_infer_queue_depth`]; v != queue {
-				t.Errorf("queue_depth = %g, want %d", v, queue)
-			}
-
-			// Release the slots: every admitted request must now complete
-			// 200 — admission never fails a request it accepted.
-			for i := 0; i < inflight; i++ {
-				<-s.inferSem
-			}
-			for i := 0; i < capacity; i++ {
-				r := <-results
-				if r.status != http.StatusOK {
-					t.Fatalf("admitted request answered %d, want 200", r.status)
-				}
-			}
-
-			got = scrape(t, ts.URL)
-			if v := got[`lesmd_infer_admitted`]; v != 0 {
-				t.Errorf("post-drain admitted = %g, want 0", v)
-			}
-			if v := got[`lesmd_infer_requests_total`]; v != capacity {
-				t.Errorf("infer_requests_total = %g, want %d", v, capacity)
-			}
-			if v := got[`lesmd_http_requests_total{route="infer"}`]; v != total {
-				t.Errorf("infer route requests = %g, want %d", v, total)
-			}
-			if v := got[`lesmd_http_errors_total{route="infer",code="503"}`]; v != total-capacity {
-				t.Errorf("infer 503s = %g, want %d", v, total-capacity)
-			}
-
-			// Goroutine drain: the storm must leave nothing behind. Idle
-			// keep-alive client conns hold goroutines on both ends; close
-			// them before comparing.
-			http.DefaultClient.CloseIdleConnections()
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-				runtime.GC()
-				time.Sleep(10 * time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > baseline {
-				buf := make([]byte, 1<<16)
-				t.Fatalf("goroutines grew across the saturation storm: %d > baseline %d\n%s",
-					n, baseline, buf[:runtime.Stack(buf, true)])
-			}
-		})
-	}
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines grew across the saturation storm: %d > baseline %d\n%s",
+				n, baseline, buf[:runtime.Stack(buf, true)])
+		}
+	})
 }

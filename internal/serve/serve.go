@@ -27,9 +27,8 @@ import (
 type Options struct {
 	// P bounds the fold-in worker count per /infer batch (0 = GOMAXPROCS).
 	P int
-	// MaxInFlight caps concurrent /infer fold-in batches (direct or
-	// coalesced); further requests wait until a slot frees or their
-	// context is cancelled (default 4).
+	// MaxInFlight caps concurrent /infer fold-in batches; further requests
+	// wait until a slot frees or their context is cancelled (default 4).
 	MaxInFlight int
 	// Sweeps is the fold-in sweep count (default 30).
 	Sweeps int
@@ -60,30 +59,15 @@ type Options struct {
 	// sections serve zero-copy from the mapping, and replaced mappings are
 	// retired (kept mapped) until Close so in-flight requests never fault.
 	MMap bool
-	// BatchWindow enables /infer request coalescing with group-commit
-	// semantics: while every in-flight slot is busy, arriving requests
-	// merge into one forming fold-in batch; the batch dispatches as soon
-	// as a slot frees, the batch reaches MaxBatchDocs, or the window
-	// expires — whichever comes first. An unsaturated server therefore
-	// dispatches immediately (no added latency), and the window only
-	// bounds how long a request can wait for batchmates under overload.
-	// Zero disables coalescing entirely. Per-request results are
-	// bit-identical either way.
-	BatchWindow time.Duration
-	// MaxBatchDocs caps the documents of one coalesced batch (default 64).
-	// A request that would overflow the cap closes the current batch and
-	// spills into the next window.
+	// MaxBatchDocs caps the documents of one /infer request — each request
+	// is exactly one fold-in batch (default 64). A request carrying more
+	// docs or ids is rejected with 400 right after body decode, before any
+	// doc resolution, slot wait or sampling.
 	MaxBatchDocs int
-	// AdaptiveWindow derives the effective coalescing window from an EWMA
-	// of observed /infer inter-arrival times, bounded above by BatchWindow
-	// (which must be > 0 for coalescing to be on at all) — see adaptive.go.
-	// Off, the window is the fixed BatchWindow.
-	AdaptiveWindow bool
 	// MaxQueue bounds the /infer admission queue: at most
 	// MaxInFlight+MaxQueue requests may be in the system (running or
-	// waiting for a slot / parked in a forming batch); beyond that,
-	// requests are shed immediately with 503 + Retry-After instead of
-	// queueing without bound (default 64).
+	// waiting for a slot); beyond that, requests are shed immediately with
+	// 503 + Retry-After instead of queueing without bound (default 64).
 	MaxQueue int
 	// RouteTimeout, when > 0, cancels any request's context after this
 	// long, on every route: a queued /infer drops out of its queue, a
@@ -97,9 +81,9 @@ type Options struct {
 	// paths 404 like any unregistered route.
 	Pprof bool
 	// Ctx, when cancelled, shuts down the server's background machinery
-	// (coalescer, reload poller, in-flight coalesced batches) exactly like
-	// Close (nil = background). Mapped snapshots are only released by an
-	// explicit Close, which must come after the HTTP server has drained.
+	// (reload poller, runtime-metrics collector) exactly like Close (nil =
+	// background). Mapped snapshots are only released by an explicit
+	// Close, which must come after the HTTP server has drained.
 	Ctx context.Context
 }
 
@@ -118,9 +102,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Alpha <= 0 {
 		o.Alpha = lda.DefaultFoldInAlpha
-	}
-	if o.BatchWindow < 0 {
-		o.BatchWindow = 0
 	}
 	if o.MaxBatchDocs <= 0 {
 		o.MaxBatchDocs = 64
@@ -296,8 +277,8 @@ func buildArtifact(snap *store.Snapshot, opt Options, gen uint64, closer io.Clos
 
 // Server answers queries over the current snapshot artifact. Structure
 // lookups are lock-free reads of the atomically-swapped artifact pointer;
-// /infer runs on the shared pool behind a bounded in-flight semaphore,
-// optionally through the request coalescer.
+// /infer runs on the shared pool behind a bounded in-flight semaphore, one
+// fold-in batch per request.
 type Server struct {
 	opt      Options
 	cur      atomic.Pointer[artifact]
@@ -305,20 +286,15 @@ type Server struct {
 	mux      *http.ServeMux
 
 	// Background machinery lifecycle: ctx is cancelled by Close (or by
-	// Options.Ctx); bg tracks the coalescer collector and reload poller,
-	// batchWG the in-flight coalesced batches.
-	ctx     context.Context
-	cancel  context.CancelFunc
-	bg      sync.WaitGroup
-	batchWG sync.WaitGroup
+	// Options.Ctx); bg tracks the reload poller and the runtime-metrics
+	// collector.
+	ctx    context.Context
+	cancel context.CancelFunc
+	bg     sync.WaitGroup
 
-	// jobs feeds the coalescer collector; nil when coalescing is off.
-	jobs chan *inferJob
-
-	// sampleCtx, when non-nil, wraps the context the direct /infer path
-	// hands to fold-in sampling — a test hook for observing the
-	// between-chunk cancellation checks. Set before serving; nil in
-	// production.
+	// sampleCtx, when non-nil, wraps the context the /infer path hands to
+	// fold-in sampling — a test hook for observing the between-chunk
+	// cancellation checks. Set before serving; nil in production.
 	sampleCtx func(context.Context) context.Context
 
 	// reloadMu serializes artifact swaps; lastStamp is the stamp of the
@@ -336,21 +312,19 @@ type Server struct {
 	retired []io.Closer
 	closed  bool
 
-	// Serving metrics, surfaced on /healthz and /metrics.
-	inferBatches  atomic.Uint64 // fold-in batches dispatched (direct or coalesced)
-	inferRequests atomic.Uint64 // /infer requests accepted into a batch
+	// inferRequests counts /infer requests that reached fold-in (each one
+	// fold-in batch), surfaced on /healthz and /metrics.
+	inferRequests atomic.Uint64
 
 	// metrics is the /metrics registry (metrics.go); admitted is the
 	// admission-control gauge: /infer requests in the system, bounded by
-	// MaxInFlight+MaxQueue. window is the adaptive coalescing window
-	// state (nil unless AdaptiveWindow with coalescing on).
+	// MaxInFlight+MaxQueue.
 	metrics  *metrics
 	admitted atomic.Int64
-	window   *ewmaWindow
 }
 
 // New builds a server over the snapshot and starts its background
-// machinery (request coalescer when BatchWindow > 0, reload poller when
+// machinery (runtime-metrics collector, and the reload poller when
 // SnapshotPath + ReloadPoll are set). Callers must Close the server when
 // done serving; cancelling Options.Ctx stops the background goroutines
 // early but releases no mappings.
@@ -402,16 +376,6 @@ func New(snap *store.Snapshot, opt Options) (*Server, error) {
 	}
 	s.mux = mux
 
-	if opt.BatchWindow > 0 {
-		s.jobs = make(chan *inferJob)
-		if opt.AdaptiveWindow {
-			s.window = newEwmaWindow(opt.BatchWindow)
-			s.bg.Add(1)
-			go s.tickWindow()
-		}
-		s.bg.Add(1)
-		go s.collect()
-	}
 	if opt.SnapshotPath != "" && opt.ReloadPoll > 0 {
 		s.bg.Add(1)
 		go s.pollReload()
@@ -440,15 +404,14 @@ func (s *Server) AdoptCloser(c io.Closer) {
 // New was given; +1 per successful reload).
 func (s *Server) Generation() uint64 { return s.cur.Load().gen }
 
-// Close shuts the server down: it stops the coalescer and reload poller,
-// fails queued /infer jobs, waits for in-flight coalesced batches, and
-// releases every snapshot mapping (current and retired). Call it after the
-// HTTP server wrapping Handler has drained — handlers must not run
-// concurrently with the unmapping. Idempotent.
+// Close shuts the server down: it stops the reload poller and the
+// runtime-metrics collector and releases every snapshot mapping (current
+// and retired). Call it after the HTTP server wrapping Handler has
+// drained — handlers must not run concurrently with the unmapping.
+// Idempotent.
 func (s *Server) Close() error {
 	s.cancel()
-	s.bg.Wait()      // collector + poller exited; queued jobs failed
-	s.batchWG.Wait() // coalesced batches finished replying
+	s.bg.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -562,7 +525,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"status":         "ok",
 		"sections":       a.snap.Sections(),
 		"generation":     a.gen,
-		"infer_batches":  s.inferBatches.Load(),
 		"infer_requests": s.inferRequests.Load(),
 	}
 	if a.snap.Topics != nil {
@@ -579,10 +541,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		if msg := s.reloadErr.Load().(string); msg != "" {
 			resp["reload_error"] = msg
 		}
-	}
-	if s.opt.BatchWindow > 0 {
-		resp["batch_window_ms"] = float64(s.opt.BatchWindow) / float64(time.Millisecond)
-		resp["max_batch_docs"] = s.opt.MaxBatchDocs
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -1146,12 +1104,12 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Admission control: bound the number of /infer requests in the
-	// system — running plus waiting for a slot or parked in a forming
-	// batch — at MaxInFlight+MaxQueue. Beyond that the server is past the
-	// load it can usefully queue for, so shed immediately (503 +
-	// Retry-After) before even reading the body: queue depth stays
-	// bounded, shed requests cost ~nothing, and admitted requests keep
-	// their latency instead of everyone timing out together.
+	// system — running plus waiting for a slot — at MaxInFlight+MaxQueue.
+	// Beyond that the server is past the load it can usefully queue for,
+	// so shed immediately (503 + Retry-After) before even reading the
+	// body: queue depth stays bounded, shed requests cost ~nothing, and
+	// admitted requests keep their latency instead of everyone timing out
+	// together.
 	limit := int64(s.opt.MaxInFlight + s.opt.MaxQueue)
 	if n := s.admitted.Add(1); n > limit {
 		s.admitted.Add(-1)
@@ -1172,6 +1130,12 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "exactly one of docs (token strings) or ids (vocabulary ids) required")
 		return
 	}
+	// Each request is one fold-in batch, so its document count is capped
+	// here — before resolution allocates per-doc slices or a slot is held.
+	if n := len(req.Docs) + len(req.IDs); n > s.opt.MaxBatchDocs {
+		writeErr(w, http.StatusBadRequest, "request carries %d documents; the per-request cap is %d", n, s.opt.MaxBatchDocs)
+		return
+	}
 	sweeps := req.Sweeps
 	if sweeps <= 0 {
 		sweeps = s.opt.Sweeps
@@ -1189,13 +1153,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if s.jobs != nil {
-		s.inferCoalesced(w, r, &req, sweeps)
-		return
-	}
-
-	// Direct path (coalescing off): this request is its own batch. The
-	// artifact is pinned once, so a hot reload mid-request is invisible.
+	// This request is its own batch. The artifact is pinned once, so a hot
+	// reload mid-request is invisible.
 	a := s.cur.Load()
 	if a.foldIn == nil {
 		writeErr(w, http.StatusNotFound, "snapshot has no topics section (fold-in unavailable)")
@@ -1217,7 +1176,6 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.inferBatches.Add(1)
 	s.inferRequests.Add(1)
 	s.metrics.batchDocs.Observe(float64(len(batch)))
 	ctx := r.Context()

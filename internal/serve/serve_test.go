@@ -106,6 +106,45 @@ func newTestServerPair(t testing.TB, opt Options) (*httptest.Server, *Server) {
 	return ts, s
 }
 
+// inferBody builds a canonical /infer request body.
+func inferBody(t testing.TB, seed int64, ids [][]int, sweeps int) []byte {
+	t.Helper()
+	m := map[string]any{"seed": seed, "ids": ids}
+	if sweeps > 0 {
+		m["sweeps"] = sweeps
+	}
+	b, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// postInfer posts an /infer body and returns (status, decoded response).
+func postInfer(t testing.TB, url string, body []byte) (int, map[string]any) {
+	t.Helper()
+	resp, err := http.Post(url+"/infer", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("bad JSON: %v", err)
+	}
+	return resp.StatusCode, out
+}
+
+// thetaJSON canonicalizes a response's theta for bit-identity comparison.
+func thetaJSON(t testing.TB, out map[string]any) string {
+	t.Helper()
+	b, err := json.Marshal(out["theta"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 func getJSON(t testing.TB, url string, wantStatus int) map[string]any {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -446,12 +485,60 @@ func TestOptionsClampNegatives(t *testing.T) {
 	s2.Close()
 }
 
+// TestInferBadRequests: malformed /infer bodies get 400 before any
+// sampling. The per-request document cap (MaxBatchDocs, default 64) is
+// checked right after body decode, in the docs and the ids form alike, so
+// an oversized request never resolves its documents, waits for a slot or
+// reaches fold-in.
 func TestInferBadRequests(t *testing.T) {
-	ts := newTestServer(t, Options{})
-	postJSON(t, ts.URL+"/infer", map[string]any{"seed": 1}, http.StatusBadRequest)
-	postJSON(t, ts.URL+"/infer", map[string]any{
-		"seed": 1, "docs": [][]string{{"a"}}, "ids": [][]int{{0}},
-	}, http.StatusBadRequest)
+	ts, s := newTestServerPair(t, Options{MaxInFlight: 1, RouteTimeout: 5 * time.Second})
+	docs := func(n int) [][]string {
+		out := make([][]string, n)
+		for i := range out {
+			out[i] = []string{"query", "index"}
+		}
+		return out
+	}
+	ids := func(n int) [][]int {
+		out := make([][]int, n)
+		for i := range out {
+			out[i] = []int{i % 10, (i + 1) % 10}
+		}
+		return out
+	}
+	// Hold the only in-flight slot: a request that got as far as the slot
+	// wait would answer 503 at its route deadline instead of 400.
+	s.inferSem <- struct{}{}
+	for _, c := range []struct {
+		name string
+		body map[string]any
+		msg  string
+	}{
+		{"no documents", map[string]any{"seed": 1}, "exactly one of"},
+		{"docs and ids", map[string]any{"seed": 1, "docs": [][]string{{"a"}}, "ids": [][]int{{0}}}, "exactly one of"},
+		{"65 docs", map[string]any{"seed": 1, "docs": docs(65)}, "per-request cap is 64"},
+		{"65 ids", map[string]any{"seed": 1, "ids": ids(65)}, "per-request cap is 64"},
+	} {
+		out := postJSON(t, ts.URL+"/infer", c.body, http.StatusBadRequest)
+		if msg, _ := out["error"].(string); !strings.Contains(msg, c.msg) {
+			t.Errorf("%s: error %q does not mention %q", c.name, msg, c.msg)
+		}
+	}
+	<-s.inferSem
+	if n := s.inferRequests.Load(); n != 0 {
+		t.Fatalf("%d rejected requests reached fold-in", n)
+	}
+	// Exactly at the cap is accepted, in both forms.
+	for _, body := range []map[string]any{{"seed": 1, "docs": docs(64)}, {"seed": 1, "ids": ids(64)}} {
+		out := postJSON(t, ts.URL+"/infer", body, http.StatusOK)
+		if theta, _ := out["theta"].([]any); len(theta) != 64 {
+			t.Fatalf("64-document request answered %d thetas", len(theta))
+		}
+	}
+	if n := s.inferRequests.Load(); n != 2 {
+		t.Fatalf("inferRequests = %d after two accepted requests, want 2", n)
+	}
+
 	resp, err := http.Get(ts.URL + "/infer")
 	if err != nil {
 		t.Fatal(err)
@@ -630,5 +717,81 @@ func TestInferSamplerOptions(t *testing.T) {
 		if _, err := New(testSnapshot(t), Options{Sampler: name}); err == nil {
 			t.Fatalf("unknown sampler %q accepted at startup", name)
 		}
+	}
+}
+
+// TestCloseReleasesGoroutines is the goroutine leak check for the whole
+// background machinery: the reload poller and the runtime-metrics
+// collector must exit on an Options.Ctx cancel alone (Close additionally
+// releases mappings).
+func TestCloseReleasesGoroutines(t *testing.T) {
+	checkStopReleasesGoroutines(t, "ctx-cancel")
+}
+
+// TestCloseStopsAdaptiveAndMetricsCollectors is the same leak check on the
+// Close path: the runtime-metrics collector and the reload poller ride
+// Server.Close, and no goroutine survives it. (The adaptive-window decay
+// ticker this test once also covered no longer exists.)
+func TestCloseStopsAdaptiveAndMetricsCollectors(t *testing.T) {
+	checkStopReleasesGoroutines(t, "close")
+}
+
+// checkStopReleasesGoroutines drives inference, a forced reload and a
+// scrape through a server with a live reload poller, stops it by stop
+// ("ctx-cancel" or "close") and fails if the goroutine count does not
+// return to its baseline.
+func checkStopReleasesGoroutines(t *testing.T, stop string) {
+	t.Helper()
+	// Settle and measure the baseline.
+	runtime.GC()
+	time.Sleep(50 * time.Millisecond)
+	baseline := runtime.NumGoroutine()
+
+	path := t.TempDir() + "/model.lesm"
+	if err := store.Write(path, testSnapshot(t)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s, err := New(testSnapshot(t), Options{
+		RouteTimeout: time.Second,
+		SnapshotPath: path,
+		ReloadPoll:   2 * time.Millisecond,
+		Ctx:          ctx,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Drive the live machinery without any network goroutines.
+	for i := 0; i < 3; i++ {
+		if rec := s.serveOnce(t, http.MethodPost, "/infer", inferBody(t, int64(i), [][]int{{0, 1, 2}}, 3)); rec.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, rec.Code)
+		}
+	}
+	if rec := s.serveOnce(t, http.MethodPost, "/admin/reload", nil); rec.Code != http.StatusOK {
+		t.Fatalf("admin reload: status %d (%s)", rec.Code, rec.Body.String())
+	}
+	if rec := s.serveOnce(t, http.MethodGet, "/metrics", nil); rec.Code != http.StatusOK {
+		t.Fatalf("metrics: status %d", rec.Code)
+	}
+
+	if stop == "close" {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		cancel()
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("goroutines leaked after %s: %d > baseline %d\n%s",
+			stop, n, baseline, buf[:runtime.Stack(buf, true)])
+	}
+	if err := s.Close(); err != nil { // idempotent
+		t.Fatal(err)
 	}
 }

@@ -112,47 +112,19 @@ func TestRouteTimeoutAbortsRunningFoldIn(t *testing.T) {
 }
 
 // TestRouteTimeoutBeforeSampling: a deadline that has already expired
-// when the body is decoded is answered at once with its own 503, on the
-// direct and the coalesced path alike, and no sampling starts.
+// when the body is decoded is answered at once with its own 503, and no
+// sampling starts.
 func TestRouteTimeoutBeforeSampling(t *testing.T) {
-	for _, opt := range []Options{
-		{RouteTimeout: time.Nanosecond},
-		{RouteTimeout: time.Nanosecond, BatchWindow: time.Millisecond, MaxBatchDocs: 64},
-	} {
-		ts, s := newTestServerPair(t, opt)
-		status, out := postInfer(t, ts.URL, inferBody(t, 1, [][]int{{0, 1, 2}}, 3))
-		if status != http.StatusServiceUnavailable {
-			t.Fatalf("batch window %s: expired request: status %d (%v)", opt.BatchWindow, status, out)
-		}
-		if msg, _ := out["error"].(string); !strings.Contains(msg, "deadline exceeded before sampling") {
-			t.Fatalf("batch window %s: unexpected error message: %v", opt.BatchWindow, out)
-		}
-		if n := s.inferBatches.Load(); n != 0 {
-			t.Fatalf("batch window %s: %d fold-in batches ran for a request past its deadline", opt.BatchWindow, n)
-		}
-	}
-}
-
-// TestRouteTimeoutCoalescedMember: a member parked in a forming batch
-// times out with a 503 while its batchmates' window keeps forming, and
-// the server keeps serving normally afterwards.
-func TestRouteTimeoutCoalescedMember(t *testing.T) {
-	ts, s := newTestServerPair(t, Options{
-		MaxInFlight: 1, BatchWindow: 30 * time.Second, MaxBatchDocs: 64,
-		RouteTimeout: 100 * time.Millisecond,
-	})
-	s.inferSem <- struct{}{} // park the forming batch: no group commit
+	ts, s := newTestServerPair(t, Options{RouteTimeout: time.Nanosecond})
 	status, out := postInfer(t, ts.URL, inferBody(t, 1, [][]int{{0, 1, 2}}, 3))
 	if status != http.StatusServiceUnavailable {
-		t.Fatalf("parked member past its timeout: status %d (%v)", status, out)
+		t.Fatalf("expired request: status %d (%v)", status, out)
 	}
-	<-s.inferSem // release: the batch (sans its timed-out member) runs
-
-	// The machinery survives the timed-out member: a fresh request on the
-	// now-free server completes.
-	status, out = postInfer(t, ts.URL, inferBody(t, 2, [][]int{{5, 6, 7}}, 3))
-	if status != http.StatusOK {
-		t.Fatalf("post-timeout request: status %d (%v)", status, out)
+	if msg, _ := out["error"].(string); !strings.Contains(msg, "deadline exceeded before sampling") {
+		t.Fatalf("unexpected error message: %v", out)
+	}
+	if n := s.inferRequests.Load(); n != 0 {
+		t.Fatalf("%d /infer requests reached fold-in past their deadline", n)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // being copied to the heap, so opening a multi-gigabyte model costs page
 // tables, not RSS, and pages load lazily as queries touch them.
 //
-// Safety rules (see docs/ARCHITECTURE.md "Serving v2"):
+// Safety rules (see docs/ARCHITECTURE.md "mmap zero-copy decode"):
 //
 //   - The snapshot is strictly read-only. The mapping is PROT_READ where
 //     the platform supports it — writing through an aliased slice faults.
