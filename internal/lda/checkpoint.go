@@ -36,7 +36,9 @@ var ErrStopped = errors.New("lda: fit stopped at a sweep boundary by Config.Stop
 // a mismatched corpus or config would silently produce a model from
 // neither trajectory.
 type Fingerprint struct {
-	// Engine is "lda" for Run, "phraselda" for RunPhrases.
+	// Engine is "lda" for Run, "phraselda" for RunPhrases. Both fit
+	// through the same phrase loops (Run over one-word phrases), so the
+	// engine and the corpus hash are what tell their checkpoints apart.
 	Engine string
 	// Sampler is the resolved core (never SamplerAuto).
 	Sampler Sampler
@@ -65,8 +67,9 @@ type Checkpoint struct {
 	Fingerprint Fingerprint
 	// Sweep is the last completed sweep (1-based).
 	Sweep int
-	// Z holds the per-document topic assignments: per token for Run, per
-	// phrase for RunPhrases.
+	// Z holds the per-document topic assignments, one per phrase slot:
+	// per token for Run (whose phrases are single tokens), per phrase for
+	// RunPhrases.
 	Z [][]int
 	// AliasRebuilds is the number of alias-table builds the trajectory has
 	// performed so far (MH core only; 0 otherwise). Restored so a resumed
@@ -188,24 +191,22 @@ func (cp *Checkpoint) check(fp Fingerprint, kTotal int, docLens []int) error {
 	return nil
 }
 
-// restoreCounts replays the checkpoint's assignments into freshly zeroed
-// count tables, exactly reproducing the tables the uninterrupted fit held
-// at the end of sweep cp.Sweep. weight(di, slot) is the token mass of one
-// assignment slot (1 for token documents, the phrase length for phrase
-// documents); word(di, slot, j) enumerates that slot's j-th word.
-func restoreCounts(cp *Checkpoint, kTotal int, nDK [][]int, nKV [][]int, nK []int,
-	z [][]int, weight func(di, slot int) int, word func(di, slot, j int) int) {
+// restoreCounts replays the checkpoint's assignments — one topic per
+// phrase slot of docs — into freshly zeroed count tables, exactly
+// reproducing the tables the uninterrupted fit held at the end of sweep
+// cp.Sweep.
+func restoreCounts(cp *Checkpoint, kTotal int, docs []PhraseDoc, nDK [][]int, nKV [][]int, nK []int, z [][]int) {
 	for di, zd := range cp.Z {
 		row := make([]int, len(zd))
 		copy(row, zd)
 		z[di] = row
 		nDK[di] = make([]int, kTotal)
 		for slot, k := range row {
-			n := weight(di, slot)
-			nDK[di][k] += n
-			nK[k] += n
-			for j := 0; j < n; j++ {
-				nKV[k][word(di, slot, j)]++
+			phrase := docs[di][slot]
+			nDK[di][k] += len(phrase)
+			nK[k] += len(phrase)
+			for _, w := range phrase {
+				nKV[k][w]++
 			}
 		}
 	}

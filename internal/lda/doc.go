@@ -10,20 +10,25 @@
 //   - PhraseLDA, the phrase-constrained sampler of ToPMine, where all words
 //     of a mined phrase share one topic assignment.
 //
-// Both samplers are deterministically parallel: sweeps run as chunked
-// document passes on the shared runtime (internal/par), every document
-// draws from its own counter-based PRNG stream keyed by (seed, doc,
-// sweep), and per-chunk count deltas merge in chunk order, so a fitted
-// model is a pure function of the seed at any Config.P (see gibbs.go for
-// the design and its AD-LDA-style staleness trade).
+// Token LDA is PhraseLDA over one-word phrases — a one-word phrase has
+// exactly token LDA's conditional — so Run fits through the RunPhrases
+// loops on a view of its documents that makes every token a phrase
+// (lda.go, phraselda.go). Both entry points are deterministically
+// parallel: sweeps run as chunked document passes on the shared runtime
+// (internal/par), every document draws from its own counter-based PRNG
+// stream keyed by (seed, doc, sweep), and per-chunk count deltas merge in
+// chunk order, so a fitted model is a pure function of the seed at any
+// Config.P (see gibbs.go for the design and its AD-LDA-style staleness
+// trade).
 //
-// Two sampling cores implement the per-token draw (Config.Sampler /
-// FoldInConfig.Sampler): the classic dense O(K) core, the reference the
-// other is validated against, and the Metropolis–Hastings core —
-// LightLDA-style alias proposals from tables rebuilt every AliasRefresh
-// sweeps, with an accept/reject step that keeps the chain exact, O(1) per
-// token (mh.go). The default, SamplerAuto, picks dense for small topic
-// counts or vocabularies and MH above them (Sampler.ResolveFor). Fold-in
-// inference against a frozen model (foldin.go) shares the machinery and is
-// what the serving daemon runs per request.
+// Two sampling cores implement the per-phrase draw of a fit and the
+// per-token draw of fold-in (Config.Sampler / FoldInConfig.Sampler): the
+// classic dense O(K) core, the reference the other is validated against,
+// and the Metropolis–Hastings core — LightLDA-style alias proposals from
+// tables rebuilt every AliasRefresh sweeps, with an accept/reject step
+// that keeps the chain exact, O(1) per one-word phrase (mh.go). The
+// default, SamplerAuto, picks dense for small topic counts or
+// vocabularies and MH above them (Sampler.ResolveFor). Fold-in inference
+// against a frozen model (foldin.go) shares the machinery and is what the
+// serving daemon runs per request.
 package lda

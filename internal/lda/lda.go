@@ -273,6 +273,12 @@ type Model struct {
 
 // Run fits LDA to id-encoded documents over a vocabulary of size V.
 //
+// Token LDA is PhraseLDA over one-word phrases — for a phrase of one word
+// the product conditional of RunPhrases is exactly token LDA's — so Run
+// fits through the phrase core on a view of docs that makes every token
+// its own phrase (the view aliases docs; no ids are copied). Z then holds
+// one assignment per token and PhraseZ is nil.
+//
 // Sweeps execute as chunked passes over the documents on the shared
 // parallel runtime: every document samples from its own (Seed, doc, sweep)
 // PRNG stream against the sweep-start counts plus its chunk's running
@@ -287,144 +293,19 @@ func Run(docs [][]int, v int, cfg Config) (*Model, error) {
 	if err := validateTokens(docs, v); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	o := cfg.parOpts()
-	kTotal := cfg.K
-	if cfg.Background {
-		kTotal++
-	}
-	d := len(docs)
-	nDK := make([][]int, d)
-	nKV := make([][]int, kTotal)
-	nK := make([]int, kTotal)
-	for k := range nKV {
-		nKV[k] = make([]int, v)
-	}
-	z := make([][]int, d)
-	alpha := alphaVec(cfg, kTotal)
-	sc := newSweepScratch(samplerChunks(d, kTotal, v), kTotal, v)
-	core := cfg.Sampler.ResolveFor(kTotal, v)
-
-	// The fingerprint binds checkpoints to this exact fit; computing it
-	// (one corpus hash) is skipped entirely when the run neither
-	// checkpoints, stops, nor resumes.
-	var fp Fingerprint
-	if cfg.CheckpointFunc != nil || cfg.Stop != nil || cfg.Resume != nil {
-		fp = newFingerprint("lda", core, cfg, v, d, countTokens(docs), hashTokenDocs(docs))
-	}
-
-	// start is the number of already-completed sweeps: 0 for a fresh fit
-	// (whose state comes from the init pass below), the checkpoint's
-	// sweep on resume (whose state is replayed from the stored Z).
-	start := 0
-	if cp := cfg.Resume; cp != nil {
-		docLens := make([]int, d)
-		for di, doc := range docs {
-			docLens[di] = len(doc)
+	view := make([]PhraseDoc, len(docs))
+	for di, doc := range docs {
+		pd := make(PhraseDoc, len(doc))
+		for i := range doc {
+			pd[i] = doc[i : i+1 : i+1]
 		}
-		if err := cp.check(fp, kTotal, docLens); err != nil {
-			return nil, err
-		}
-		restoreCounts(cp, kTotal, nDK, nKV, nK, z,
-			func(int, int) int { return 1 },
-			func(di, slot, _ int) int { return docs[di][slot] })
-		start = cp.Sweep
-	} else {
-		// Initialization pass (uniform assignments), shared by both cores
-		// so an A/B comparison starts from the same state.
-		err := gibbsPass(o, cfg.Seed, 0, d, sc, nKV, nK, nil,
-			func(_, di int, rng *stream, dl *delta, _ []float64) {
-				doc := docs[di]
-				nDK[di] = make([]int, kTotal)
-				z[di] = make([]int, len(doc))
-				for i, w := range doc {
-					k := rng.Intn(kTotal)
-					z[di][i] = k
-					nDK[di][k]++
-					dl.add(k, w, 1)
-				}
-			})
-		if err != nil {
-			return nil, err
-		}
+		view[di] = pd
 	}
-
-	// The recorder attaches after the init pass so sweep 1's timings
-	// cover sweep 1 only; nil (the common case) makes every endSweep a
-	// no-op and keeps gibbsPass untimed.
-	rr := newRunRecorder(cfg, "lda", d, countTokens(docs), sc,
-		tokenProbe(docs, alpha, cfg.Beta, v, nDK, nKV, nK))
-	ck := newCkptState(cfg, fp, z)
-
-	var err error
-	rebuilds := 0
-	switch core {
-	case SamplerMH:
-		rebuilds, err = runMH(o, cfg, docs, v, d, start, sc, alpha, nDK, nKV, nK, z, rr, ck)
-	default:
-		err = runDense(o, cfg, docs, v, d, kTotal, start, sc, alpha, nDK, nKV, nK, z, rr, ck)
-	}
-	if err != nil {
-		return nil, err
-	}
-	m := summarize(docs, v, kTotal, cfg, nDK, nKV, nK, z)
-	m.Sampler, m.AliasRebuilds = core, rebuilds
-	return m, nil
+	return fitPhrases(view, v, cfg, "lda", func() uint64 { return hashTokenDocs(docs) })
 }
 
-// runDense is the classic collapsed sampler: every token scores all kTotal
-// topics (O(K) per token) against global + own-chunk delta counts.
-func runDense(o par.Opts, cfg Config, docs [][]int, v, d, kTotal, start int, sc *sweepScratch,
-	alpha []float64, nDK [][]int, nKV [][]int, nK []int, z [][]int, rr *runRecorder, ck *ckptState) error {
-	vb := float64(v) * cfg.Beta
-	for it := start; it < cfg.Iters; it++ {
-		err := gibbsPass(o, cfg.Seed, uint64(it+1), d, sc, nKV, nK, nil,
-			func(_, di int, rng *stream, dl *delta, probs []float64) {
-				doc := docs[di]
-				for i, w := range doc {
-					kOld := z[di][i]
-					k := kOld
-					nDK[di][k]--
-					dl.add(k, w, -1)
-					total := 0.0
-					for kk := 0; kk < kTotal; kk++ {
-						p := (float64(nDK[di][kk]) + alpha[kk]) *
-							(float64(nKV[kk][w]+dl.kv[kk][w]) + cfg.Beta) /
-							(float64(nK[kk]+dl.k[kk]) + vb)
-						probs[kk] = p
-						total += p
-					}
-					r := rng.Float64() * total
-					k = kTotal - 1
-					for kk := 0; kk < kTotal; kk++ {
-						r -= probs[kk]
-						if r <= 0 {
-							k = kk
-							break
-						}
-					}
-					if k != kOld {
-						dl.ctr.changed++
-					}
-					z[di][i] = k
-					nDK[di][k]++
-					dl.add(k, w, 1)
-				}
-			})
-		if err != nil {
-			return err
-		}
-		if err := rr.endSweep(o, it+1, 0, 0); err != nil {
-			return err
-		}
-		if err := ck.boundary(it + 1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func summarize(docs [][]int, v, kTotal int, cfg Config, nDK [][]int, nKV [][]int, nK []int, z [][]int) *Model {
+// summarize builds the model from the final counts; z becomes Model.Z.
+func summarize(v, kTotal int, cfg Config, nDK [][]int, nKV [][]int, nK []int, z [][]int) *Model {
 	m := &Model{K: cfg.K, V: v, Background: cfg.Background, Z: z,
 		NKV: nKV, NK: nK, Alpha: cfg.Alpha, Beta: cfg.Beta}
 	vb := float64(v) * cfg.Beta
@@ -435,10 +316,15 @@ func summarize(docs [][]int, v, kTotal int, cfg Config, nDK [][]int, nKV [][]int
 			m.Phi[k][w] = (float64(nKV[k][w]) + cfg.Beta) / (float64(nK[k]) + vb)
 		}
 	}
-	m.Theta = make([][]float64, len(docs))
-	for di, doc := range docs {
+	m.Theta = make([][]float64, len(nDK))
+	for di, row := range nDK {
 		m.Theta[di] = make([]float64, kTotal)
-		denom := float64(len(doc))
+		// The document's token count: every token adds one to its row.
+		n := 0
+		for _, c := range row {
+			n += c
+		}
+		denom := float64(n)
 		var asum float64
 		for k := 0; k < kTotal; k++ {
 			if cfg.Background && k == cfg.K {

@@ -183,13 +183,13 @@ type mhChunk struct {
 	// Per-document state, valid between beginDoc calls.
 	nDK []int
 	// pDK[k] counts document phrases assigned topic k — the doc-proposal
-	// density for RunPhrases, whose position draw is over phrase slots
-	// rather than token slots. nil for token documents.
+	// density, whose position draw is over phrase slots rather than token
+	// slots. Under Run every phrase is one token and pDK equals nDK.
 	pDK []int
 }
 
 func newMHChunk(alpha []float64, beta float64, v int, nKV [][]int, nK []int, dl *delta,
-	prop *mhProposal, alphaTab *linalg.Alias, phrases bool) *mhChunk {
+	prop *mhProposal, alphaTab *linalg.Alias) *mhChunk {
 	c := &mhChunk{
 		alpha: alpha, beta: beta, vb: float64(v) * beta,
 		nKV: nKV, nK: nK, dl: dl, prop: prop, alphaTab: alphaTab,
@@ -197,16 +197,14 @@ func newMHChunk(alpha []float64, beta float64, v int, nKV [][]int, nK []int, dl 
 	for _, a := range alpha {
 		c.alphaSum += a
 	}
-	if phrases {
-		c.pDK = make([]int, len(alpha))
-	}
+	c.pDK = make([]int, len(alpha))
 	c.den = make([]float64, len(alpha))
 	c.refreshDen()
 	return c
 }
 
 // refreshDen recomputes the cached denominators from the chunk's current
-// view of the topic totals. The run loops call it at every sweep start,
+// view of the topic totals. The fit loop calls it at every sweep start,
 // after the previous sweep's deltas merged into nK.
 func (s *mhChunk) refreshDen() {
 	for k := range s.den {
@@ -216,26 +214,24 @@ func (s *mhChunk) refreshDen() {
 
 // enableMH attaches MH sampling state to every chunk of the scratch.
 func (sc *sweepScratch) enableMH(alpha []float64, beta float64, v int, nKV [][]int, nK []int,
-	prop *mhProposal, alphaTab *linalg.Alias, phrases bool) {
+	prop *mhProposal, alphaTab *linalg.Alias) {
 	sc.mh = make([]*mhChunk, len(sc.deltas))
 	for c := range sc.mh {
-		sc.mh[c] = newMHChunk(alpha, beta, v, nKV, nK, sc.deltas[c], prop, alphaTab, phrases)
+		sc.mh[c] = newMHChunk(alpha, beta, v, nKV, nK, sc.deltas[c], prop, alphaTab)
 	}
 }
 
 func (s *mhChunk) effKV(k, w int) int { return s.nKV[k][w] + s.dl.kv[k][w] }
 
-// beginDoc points the chunk at document state nDK; for phrase documents it
-// also tallies the per-topic phrase counts from zDoc.
+// beginDoc points the chunk at document state nDK and tallies the
+// per-topic phrase counts from the document's phrase assignments zDoc.
 func (s *mhChunk) beginDoc(nDK []int, zDoc []int) {
 	s.nDK = nDK
-	if s.pDK != nil {
-		for k := range s.pDK {
-			s.pDK[k] = 0
-		}
-		for _, k := range zDoc {
-			s.pDK[k]++
-		}
+	for k := range s.pDK {
+		s.pDK[k] = 0
+	}
+	for _, k := range zDoc {
+		s.pDK[k]++
 	}
 }
 
@@ -244,6 +240,15 @@ func (s *mhChunk) adjust(k, w, c int) {
 	s.dl.add(k, w, c)
 	s.nDK[k] += c
 	s.den[k] += float64(c)
+}
+
+// moveToken moves a one-word phrase of word w from topic kOld to k: its
+// token counts and its phrase slot in pDK.
+func (s *mhChunk) moveToken(kOld, k, w int) {
+	s.adjust(kOld, w, -1)
+	s.adjust(k, w, 1)
+	s.pDK[kOld]--
+	s.pDK[k]++
 }
 
 // target is the unnormalized collapsed conditional at topic x for word w
@@ -262,16 +267,15 @@ func (s *mhChunk) target(x, w, kOld int) (num, den float64) {
 		s.den[x] - float64(d)
 }
 
-// sampleToken draws a topic for one token of word w through the MH kernel:
-// one word-proposal step then one doc-proposal step, each accepted against
-// the current-count conditional with the token virtually removed (counts
-// still include it at kOld = zDoc[i] on entry; target and the densities
-// below carry the correction). zDoc[i] is updated in place after each
-// sub-step so the doc proposal's slot draw is consistent with the
-// incumbent; the caller moves the real counts only when the returned topic
-// differs from kOld. posCnt is the per-topic tally of zDoc's slots
-// *including* slot i at kOld (nDK for token documents, pDK for phrase
-// documents).
+// sampleToken draws a topic for the one-word phrase of word w in slot i
+// through the MH kernel: one word-proposal step then one doc-proposal
+// step, each accepted against the current-count conditional with the
+// token virtually removed (counts still include it at kOld = zDoc[i] on
+// entry; target and the densities below carry the correction). zDoc[i] is
+// updated in place after each sub-step so the doc proposal's slot draw is
+// consistent with the incumbent; the caller moves the real counts
+// (moveToken) only when the returned topic differs from kOld. The doc
+// proposal's slot tally is pDK, which *includes* slot i at kOld.
 //
 // Doc-proposal densities: the slot draw includes slot i at the incumbent
 // k, so q_d(y | k) ∝ cnt¬i(y) + 1{y=k} + α_y (cnt¬i = slot tally without
@@ -281,7 +285,7 @@ func (s *mhChunk) target(x, w, kOld int) (num, den float64) {
 // at the current state instead (the LightLDA paper's extra +1 on the
 // incumbent) breaks detailed balance and measurably biases the chain (see
 // the chi-square kernel test).
-func (s *mhChunk) sampleToken(w int, zDoc []int, posCnt []int, i int, rng *stream) int {
+func (s *mhChunk) sampleToken(w int, zDoc []int, i int, rng *stream) int {
 	kOld := zDoc[i]
 	k := kOld
 	// Virtual removal freezes the counts for the token's duration, so the
@@ -324,8 +328,8 @@ func (s *mhChunk) sampleToken(w int, zDoc []int, posCnt []int, i int, rng *strea
 		} else if t == kOld {
 			dt = 1
 		}
-		qk := float64(posCnt[k]-dk) + s.alpha[k]
-		qt := float64(posCnt[t]-dt) + s.alpha[t]
+		qk := float64(s.pDK[k]-dk) + s.alpha[k]
+		qt := float64(s.pDK[t]-dt) + s.alpha[t]
 		tn, td := s.target(t, w, kOld)
 		num := tn * kd * qk
 		den := kn * td * qt
@@ -338,8 +342,8 @@ func (s *mhChunk) sampleToken(w int, zDoc []int, posCnt []int, i int, rng *strea
 	return k
 }
 
-// mhRebuildSchedule owns the amortized, double-buffered rebuild loop both
-// MH run paths share: kick an async rebuild when the active tables are
+// mhRebuildSchedule owns the MH fit's amortized, double-buffered rebuild
+// loop: kick an async rebuild when the active tables are
 // AliasRefresh sweeps stale, join it at the pass boundary (before the
 // sweep's deltas merge into the globals the rebuild is reading), swap.
 type mhRebuildSchedule struct {
@@ -449,72 +453,13 @@ func (r *mhRebuildSchedule) drain() {
 	}
 }
 
-// runMH is the MH fitting loop behind Run. Returns the number of alias
+// runPhrasesMH is the MH fitting loop behind Run and RunPhrases. Unigram
+// phrases — every phrase under Run, the dominant case in segmented
+// corpora — go through the MH kernel with the doc proposal drawing over
+// phrase slots (density pDK + α); multi-word phrases keep the dense
+// product conditional (samplePhrase, shared with the dense core), reading
+// counts through the same chunk state. Returns the number of alias
 // rebuilds performed, for Model.AliasRebuilds.
-func runMH(o par.Opts, cfg Config, docs [][]int, v, d, start int, sc *sweepScratch,
-	alpha []float64, nDK [][]int, nKV [][]int, nK []int, z [][]int, rr *runRecorder, ck *ckptState) (int, error) {
-	if d == 0 {
-		return 0, o.Err()
-	}
-	prop := newMHProposal(v, len(alpha), cfg.Beta)
-	sched := &mhRebuildSchedule{prop: prop, refresh: cfg.AliasRefresh, keepSrc: ck.wantsSnapshots()}
-	if ck != nil {
-		ck.mh = sched
-	}
-	if cp := cfg.Resume; cp != nil {
-		if err := sched.restore(o, cp); err != nil {
-			return sched.Rebuilds, err
-		}
-		rr.prime(sched.Rebuilds, sched.BuildTime)
-	} else if err := sched.start(o, nKV); err != nil {
-		return sched.Rebuilds, err
-	}
-	alphaTab := linalg.NewAlias(alpha)
-	sc.enableMH(alpha, cfg.Beta, v, nKV, nK, prop, alphaTab, false)
-	for it := start; it < cfg.Iters; it++ {
-		for _, ch := range sc.mh {
-			ch.refreshDen()
-		}
-		sched.beginSweep(o, nKV)
-		err := gibbsPass(o, cfg.Seed, uint64(it+1), d, sc, nKV, nK, sched.endPass,
-			func(c, di int, rng *stream, _ *delta, _ []float64) {
-				ch := sc.mh[c]
-				zd := z[di]
-				ch.beginDoc(nDK[di], zd)
-				doc := docs[di]
-				for i, w := range doc {
-					kOld := zd[i]
-					// sampleToken removes the token virtually and writes
-					// zd[i]; counts move only on an actual topic change.
-					if k := ch.sampleToken(w, zd, ch.nDK, i, rng); k != kOld {
-						ch.dl.ctr.changed++
-						ch.adjust(kOld, w, -1)
-						ch.adjust(k, w, 1)
-					}
-				}
-			})
-		if err != nil {
-			sched.drain()
-			return sched.Rebuilds, err
-		}
-		sched.endSweep()
-		// Diffed against the previous sweep's totals inside endSweep,
-		// so the initial synchronous build lands on sweep 1's record.
-		if err := rr.endSweep(o, it+1, sched.Rebuilds, sched.BuildTime); err != nil {
-			return sched.Rebuilds, err
-		}
-		if err := ck.boundary(it + 1); err != nil {
-			return sched.Rebuilds, err
-		}
-	}
-	return sched.Rebuilds, nil
-}
-
-// runPhrasesMH is the MH loop behind RunPhrases. Unigram phrases — the
-// dominant case in segmented corpora — go through the MH kernel with the
-// doc proposal drawing over phrase slots (density pDK + α); multi-word
-// phrases keep the dense product conditional (samplePhrase, shared with
-// the dense core), reading counts through the same chunk state.
 func runPhrasesMH(o par.Opts, cfg Config, docs []PhraseDoc, v, d, start int, sc *sweepScratch,
 	alpha []float64, nDK [][]int, nKV [][]int, nK []int, zP [][]int, rr *runRecorder, ck *ckptState) (int, error) {
 	if d == 0 {
@@ -534,7 +479,7 @@ func runPhrasesMH(o par.Opts, cfg Config, docs []PhraseDoc, v, d, start int, sc 
 		return sched.Rebuilds, err
 	}
 	alphaTab := linalg.NewAlias(alpha)
-	sc.enableMH(alpha, cfg.Beta, v, nKV, nK, prop, alphaTab, true)
+	sc.enableMH(alpha, cfg.Beta, v, nKV, nK, prop, alphaTab)
 	for it := start; it < cfg.Iters; it++ {
 		for _, ch := range sc.mh {
 			ch.refreshDen()
@@ -552,12 +497,9 @@ func runPhrasesMH(o par.Opts, cfg Config, docs []PhraseDoc, v, d, start int, sc 
 						// Unigram fast path: virtual removal, counts move
 						// only on an actual topic change.
 						w := phrase[0]
-						if kNew := ch.sampleToken(w, zPd, ch.pDK, pi, rng); kNew != k {
+						if kNew := ch.sampleToken(w, zPd, pi, rng); kNew != k {
 							ch.dl.ctr.changed++
-							ch.adjust(k, w, -1)
-							ch.adjust(kNew, w, 1)
-							ch.pDK[k]--
-							ch.pDK[kNew]++
+							ch.moveToken(k, kNew, w)
 						}
 						continue
 					}
@@ -586,6 +528,8 @@ func runPhrasesMH(o par.Opts, cfg Config, docs []PhraseDoc, v, d, start int, sc 
 			return sched.Rebuilds, err
 		}
 		sched.endSweep()
+		// Diffed against the previous sweep's totals inside endSweep,
+		// so the initial synchronous build lands on sweep 1's record.
 		if err := rr.endSweep(o, it+1, sched.Rebuilds, sched.BuildTime); err != nil {
 			return sched.Rebuilds, err
 		}

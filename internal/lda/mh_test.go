@@ -80,8 +80,8 @@ func TestMHKernelMatchesExactConditional(t *testing.T) {
 	zDoc = append(zDoc, 0) // slot i; sampleToken updates it in place
 
 	// Full counts seen by the chunk: base + the token at its current topic.
-	// The chain moves these on every accepted transition, exactly as runMH
-	// does.
+	// The chain moves these on every accepted transition, exactly as the
+	// MH fit loop (runPhrasesMH) does for a one-word phrase.
 	nKV := make([][]int, kTotal)
 	nK := append([]int(nil), baseK...)
 	nDK := append([]int(nil), baseDK...)
@@ -92,8 +92,8 @@ func TestMHKernelMatchesExactConditional(t *testing.T) {
 	nK[0]++
 	nDK[0]++
 
-	ch := newMHChunk(alpha, beta, v, nKV, nK, newDelta(kTotal, v), prop, linalg.NewAlias(alpha), false)
-	ch.beginDoc(nDK, nil)
+	ch := newMHChunk(alpha, beta, v, nKV, nK, newDelta(kTotal, v), prop, linalg.NewAlias(alpha))
+	ch.beginDoc(nDK, zDoc)
 
 	// Exact conditional from the base (token-removed) counts.
 	vb := float64(v) * beta
@@ -108,12 +108,12 @@ func TestMHKernelMatchesExactConditional(t *testing.T) {
 	hist := make([]int, kTotal)
 	for it := 0; it < n; it++ {
 		kPrev := zDoc[i]
-		k := ch.sampleToken(w, zDoc, ch.nDK, i, &rng)
+		k := ch.sampleToken(w, zDoc, i, &rng)
 		if k != kPrev {
-			// Move the counts exactly as runMH's visit loop does: through
-			// the chunk's delta, keeping its denominator cache coherent.
-			ch.adjust(kPrev, w, -1)
-			ch.adjust(k, w, 1)
+			// Move the counts exactly as the fit loop does: through the
+			// chunk's delta, keeping its denominator cache and phrase-slot
+			// tally coherent.
+			ch.moveToken(kPrev, k, w)
 		}
 		hist[k]++
 	}

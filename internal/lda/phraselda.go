@@ -43,6 +43,30 @@ func RunPhrases(docs []PhraseDoc, v int, cfg Config) (*Model, error) {
 			}
 		}
 	}
+	m, err := fitPhrases(docs, v, cfg, "phraselda", func() uint64 { return hashPhraseDocs(docs) })
+	if err != nil {
+		return nil, err
+	}
+	// Expand phrase assignments to token assignments.
+	m.PhraseZ = m.Z
+	m.Z = make([][]int, len(docs))
+	for di, doc := range docs {
+		for pi, phrase := range doc {
+			for range phrase {
+				m.Z[di] = append(m.Z[di], m.PhraseZ[di][pi])
+			}
+		}
+	}
+	return m, nil
+}
+
+// fitPhrases is the fit behind Run and RunPhrases, on an already
+// validated corpus. engine names the caller on the checkpoint
+// fingerprint and the sweep records; corpusHash digests the caller's
+// corpus for the fingerprint and runs only when the fit checkpoints,
+// stops or resumes. The returned model's Z holds one assignment per
+// phrase.
+func fitPhrases(docs []PhraseDoc, v int, cfg Config, engine string, corpusHash func() uint64) (*Model, error) {
 	cfg = cfg.withDefaults()
 	o := cfg.parOpts()
 	kTotal := cfg.K
@@ -61,12 +85,19 @@ func RunPhrases(docs []PhraseDoc, v int, cfg Config) (*Model, error) {
 	alpha := alphaVec(cfg, kTotal)
 	sc := newSweepScratch(samplerChunks(d, kTotal, v), kTotal, v)
 	core := cfg.Sampler.ResolveFor(kTotal, v)
+	tokens := countPhraseTokens(docs)
 
+	// The fingerprint binds checkpoints to this exact fit; computing it
+	// (one corpus hash) is skipped entirely when the run neither
+	// checkpoints, stops, nor resumes.
 	var fp Fingerprint
 	if cfg.CheckpointFunc != nil || cfg.Stop != nil || cfg.Resume != nil {
-		fp = newFingerprint("phraselda", core, cfg, v, d, countPhraseTokens(docs), hashPhraseDocs(docs))
+		fp = newFingerprint(engine, core, cfg, v, d, tokens, corpusHash())
 	}
 
+	// start is the number of already-completed sweeps: 0 for a fresh fit
+	// (whose state comes from the init pass below), the checkpoint's
+	// sweep on resume (whose state is replayed from the stored Z).
 	start := 0
 	if cp := cfg.Resume; cp != nil {
 		docLens := make([]int, d)
@@ -76,11 +107,11 @@ func RunPhrases(docs []PhraseDoc, v int, cfg Config) (*Model, error) {
 		if err := cp.check(fp, kTotal, docLens); err != nil {
 			return nil, err
 		}
-		restoreCounts(cp, kTotal, nDK, nKV, nK, zP,
-			func(di, slot int) int { return len(docs[di][slot]) },
-			func(di, slot, j int) int { return docs[di][slot][j] })
+		restoreCounts(cp, kTotal, docs, nDK, nKV, nK, zP)
 		start = cp.Sweep
 	} else {
+		// Initialization pass (uniform assignments), shared by both cores
+		// so an A/B comparison starts from the same state.
 		err := gibbsPass(o, cfg.Seed, 0, d, sc, nKV, nK, nil,
 			func(_, di int, rng *stream, dl *delta, _ []float64) {
 				doc := docs[di]
@@ -100,7 +131,10 @@ func RunPhrases(docs []PhraseDoc, v int, cfg Config) (*Model, error) {
 		}
 	}
 
-	rr := newRunRecorder(cfg, "phraselda", d, countPhraseTokens(docs), sc,
+	// The recorder attaches after the init pass so sweep 1's timings
+	// cover sweep 1 only; nil (the common case) makes every endSweep a
+	// no-op and keeps gibbsPass untimed.
+	rr := newRunRecorder(cfg, engine, d, tokens, sc,
 		phraseProbe(docs, alpha, cfg.Beta, v, nDK, nKV, nK))
 	ck := newCkptState(cfg, fp, zP)
 
@@ -110,26 +144,13 @@ func RunPhrases(docs []PhraseDoc, v int, cfg Config) (*Model, error) {
 	case SamplerMH:
 		rebuilds, err = runPhrasesMH(o, cfg, docs, v, d, start, sc, alpha, nDK, nKV, nK, zP, rr, ck)
 	default:
-		err = runPhrasesDense(o, cfg, docs, v, d, kTotal, start, sc, alpha, nDK, nKV, nK, zP, rr, ck)
+		err = runPhrasesDense(o, cfg, docs, v, d, start, sc, alpha, nDK, nKV, nK, zP, rr, ck)
 	}
 	if err != nil {
 		return nil, err
 	}
-
-	// Expand phrase assignments to token assignments for the summary.
-	flat := make([][]int, d)
-	zTok := make([][]int, d)
-	for di, doc := range docs {
-		for pi, phrase := range doc {
-			for _, w := range phrase {
-				flat[di] = append(flat[di], w)
-				zTok[di] = append(zTok[di], zP[di][pi])
-			}
-		}
-	}
-	m := summarize(flat, v, kTotal, cfg, nDK, nKV, nK, zTok)
+	m := summarize(v, kTotal, cfg, nDK, nKV, nK, zP)
 	m.Sampler, m.AliasRebuilds = core, rebuilds
-	m.PhraseZ = zP
 	return m, nil
 }
 
@@ -143,21 +164,36 @@ func samplePhrase(phrase []int, nDK, nK []int, nKV [][]int, dl *delta,
 	alpha []float64, beta, vb float64, probs []float64, rng *stream) int {
 	kTotal := len(alpha)
 	total := 0.0
-	for kk := 0; kk < kTotal; kk++ {
-		p := float64(nDK[kk]) + alpha[kk]
-		for i, w := range phrase {
-			// c counts earlier in-phrase occurrences of w.
-			c := 0
-			for j := 0; j < i; j++ {
-				if phrase[j] == w {
-					c++
-				}
-			}
-			p *= (float64(nKV[kk][w]+dl.kv[kk][w]) + beta + float64(c)) /
-				(float64(nK[kk]+dl.k[kk]) + vb + float64(i))
+	if len(phrase) == 1 {
+		// One word (every phrase of Run, most of a segmented corpus):
+		// token LDA's conditional, scored as (n_dk+α)·(n_kw+β)/(n_k+Vβ)
+		// — one division per topic, and the operation order token LDA's
+		// trajectory was pinned with.
+		w := phrase[0]
+		for kk := 0; kk < kTotal; kk++ {
+			p := (float64(nDK[kk]) + alpha[kk]) *
+				(float64(nKV[kk][w]+dl.kv[kk][w]) + beta) /
+				(float64(nK[kk]+dl.k[kk]) + vb)
+			probs[kk] = p
+			total += p
 		}
-		probs[kk] = p
-		total += p
+	} else {
+		for kk := 0; kk < kTotal; kk++ {
+			p := float64(nDK[kk]) + alpha[kk]
+			for i, w := range phrase {
+				// c counts earlier in-phrase occurrences of w.
+				c := 0
+				for j := 0; j < i; j++ {
+					if phrase[j] == w {
+						c++
+					}
+				}
+				p *= (float64(nKV[kk][w]+dl.kv[kk][w]) + beta + float64(c)) /
+					(float64(nK[kk]+dl.k[kk]) + vb + float64(i))
+			}
+			probs[kk] = p
+			total += p
+		}
 	}
 	r := rng.Float64() * total
 	for kk := 0; kk < kTotal; kk++ {
@@ -169,7 +205,10 @@ func samplePhrase(phrase []int, nDK, nK []int, nKV [][]int, dl *delta,
 	return kTotal - 1
 }
 
-func runPhrasesDense(o par.Opts, cfg Config, docs []PhraseDoc, v, d, kTotal, start int, sc *sweepScratch,
+// runPhrasesDense is the classic collapsed sampler: every phrase scores
+// all topics (O(K·len) per phrase) against global + own-chunk delta
+// counts.
+func runPhrasesDense(o par.Opts, cfg Config, docs []PhraseDoc, v, d, start int, sc *sweepScratch,
 	alpha []float64, nDK [][]int, nKV [][]int, nK []int, zP [][]int, rr *runRecorder, ck *ckptState) error {
 	vb := float64(v) * cfg.Beta
 	for it := start; it < cfg.Iters; it++ {

@@ -143,54 +143,17 @@ func (r *runRecorder) endSweep(o par.Opts, sweep, rebuildsTotal int, rebuildTime
 	return nil
 }
 
-// tokenProbe builds the read-only convergence probe for token-document
-// fits: the corpus log-likelihood under the current point estimates,
+// phraseProbe builds the read-only convergence probe: the corpus
+// log-likelihood under the current point estimates,
 //
 //	LL = Σ_d Σ_i log Σ_k θ̂_dk · φ̂_kw,  θ̂ and φ̂ the smoothed count
 //	normalizations summarize would produce right now.
 //
-// It only reads the count tables after a sweep's deltas have merged, so
-// it can never perturb the trajectory; the chunk-ordered MapReduce
-// float merge keeps the reported value itself deterministic at any P.
-func tokenProbe(docs [][]int, alpha []float64, beta float64, v int,
-	nDK, nKV [][]int, nK []int) func(par.Opts) (float64, error) {
-	var alphaSum float64
-	for _, a := range alpha {
-		alphaSum += a
-	}
-	vb := float64(v) * beta
-	kTotal := len(alpha)
-	return func(o par.Opts) (float64, error) {
-		acc, err := par.MapReduce(o, len(docs),
-			func() *float64 { return new(float64) },
-			func(acc *float64, _, lo, hi int) {
-				for di := lo; di < hi; di++ {
-					doc := docs[di]
-					denom := float64(len(doc)) + alphaSum
-					s := 0.0
-					for _, w := range doc {
-						p := 0.0
-						for k := 0; k < kTotal; k++ {
-							p += (float64(nDK[di][k]) + alpha[k]) *
-								(float64(nKV[k][w]) + beta) / (float64(nK[k]) + vb)
-						}
-						s += math.Log(p / denom)
-					}
-					*acc += s
-				}
-			},
-			func(dst, src *float64) { *dst += *src },
-		)
-		if err != nil {
-			return 0, err
-		}
-		return *acc, nil
-	}
-}
-
-// phraseProbe is tokenProbe over phrase documents: phrases share a
-// topic, but the probe scores tokens independently under the current
-// point estimates (the same quantity held-out perplexity reports).
+// Phrases share a topic, but the probe scores tokens independently (the
+// same quantity held-out perplexity reports). It only reads the count
+// tables after a sweep's deltas have merged, so it can never perturb the
+// trajectory; the chunk-ordered MapReduce float merge keeps the reported
+// value itself deterministic at any P.
 func phraseProbe(docs []PhraseDoc, alpha []float64, beta float64, v int,
 	nDK, nKV [][]int, nK []int) func(par.Opts) (float64, error) {
 	var alphaSum float64
@@ -233,17 +196,8 @@ func phraseProbe(docs []PhraseDoc, alpha []float64, beta float64, v int,
 	}
 }
 
-// countTokens is the per-sweep token-visit total of a token-document
+// countPhraseTokens is the per-sweep token-visit total of a phrase
 // corpus (SweepStats.Tokens).
-func countTokens(docs [][]int) int64 {
-	var n int64
-	for _, doc := range docs {
-		n += int64(len(doc))
-	}
-	return n
-}
-
-// countPhraseTokens is countTokens for phrase documents.
 func countPhraseTokens(docs []PhraseDoc) int64 {
 	var n int64
 	for _, doc := range docs {

@@ -273,6 +273,63 @@ func TestConditionalGETAcrossQueryStrings(t *testing.T) {
 	}
 }
 
+// TestLookupInputCaps pins the lookup routes' input bounds: a query or
+// entity name over 256 bytes or 8 tokens, or a limit over 100, is a 400
+// naming the cap — even with a matching validator, since the check runs
+// before the conditional GET — while inputs at the caps are served.
+func TestLookupInputCaps(t *testing.T) {
+	ts := newTestServer(t, Options{})
+	words := func(n int) string { return strings.TrimSpace(strings.Repeat("query ", n)) }
+	long := strings.Repeat("a", 257)
+	huge := strings.Repeat("database ", 64<<10/9)
+	cases := []struct {
+		name, path string
+		status     int
+		msg        string
+	}{
+		{"search at caps", "/search?limit=100&q=" + url.QueryEscape(words(8)), http.StatusOK, ""},
+		{"search 256 bytes", "/search?q=" + strings.Repeat("a", 256), http.StatusOK, ""},
+		{"search 257 bytes", "/search?q=" + long, http.StatusBadRequest, "cap of 256 bytes"},
+		{"search 64KB", "/search?q=" + url.QueryEscape(huge), http.StatusBadRequest, "cap of 256 bytes"},
+		{"search 9 tokens", "/search?q=" + url.QueryEscape(words(9)), http.StatusBadRequest, "cap of 8 tokens"},
+		{"search limit 101", "/search?q=query&limit=101", http.StatusBadRequest, "cap of 100"},
+		{"entity at caps", "/entity/" + url.PathEscape(words(8)), http.StatusOK, ""},
+		{"entity 257 bytes", "/entity/" + long, http.StatusBadRequest, "cap of 256 bytes"},
+		{"entity 64KB", "/entity/" + url.PathEscape(huge), http.StatusBadRequest, "cap of 256 bytes"},
+		{"entity 9 tokens", "/entity/" + url.PathEscape(words(9)), http.StatusBadRequest, "cap of 8 tokens"},
+		{"phrases at caps", "/phrases/search?limit=100&q=" + url.QueryEscape(words(8)), http.StatusOK, ""},
+		{"phrases 257 bytes", "/phrases/search?q=" + long, http.StatusBadRequest, "cap of 256 bytes"},
+		{"phrases 64KB", "/phrases/search?q=" + url.QueryEscape(huge), http.StatusBadRequest, "cap of 256 bytes"},
+		{"phrases 9 tokens", "/phrases/search?q=" + url.QueryEscape(words(9)), http.StatusBadRequest, "cap of 8 tokens"},
+		{"phrases limit 101", "/phrases/search?q=n&limit=101", http.StatusBadRequest, "cap of 100"},
+	}
+	for _, c := range cases {
+		for _, inm := range []string{"", `"gen-1"`} {
+			req, _ := http.NewRequest(http.MethodGet, ts.URL+c.path, nil)
+			if inm != "" {
+				req.Header.Set("If-None-Match", inm)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			want := c.status
+			if inm != "" && want == http.StatusOK {
+				want = http.StatusNotModified
+			}
+			if resp.StatusCode != want {
+				t.Errorf("%s (If-None-Match %q): status %d, want %d (%s)", c.name, inm, resp.StatusCode, want, body)
+				continue
+			}
+			if c.msg != "" && !strings.Contains(string(body), c.msg) {
+				t.Errorf("%s: error %s does not name the cap (%q)", c.name, body, c.msg)
+			}
+		}
+	}
+}
+
 // TestSearchMetricsGauges checks the index-size families appear on
 // /metrics and describe the live artifact.
 func TestSearchMetricsGauges(t *testing.T) {

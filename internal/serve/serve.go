@@ -466,6 +466,44 @@ func queryInt(r *http.Request, name string, def int) (int, error) {
 	return v, nil
 }
 
+// Lookup input caps. Fuzzy resolution costs work per query byte and per
+// token, so /search, /entity/:name and /phrases/search reject longer
+// queries and larger limits with 400 before any index work and before
+// the conditional-GET check.
+const (
+	maxQueryBytes  = 256
+	maxQueryTokens = 8
+	maxLookupLimit = 100
+)
+
+// checkQuery rejects a lookup query or entity name over the byte or token
+// cap; what names the input in the error.
+func checkQuery(what, q string) error {
+	if len(q) > maxQueryBytes {
+		return fmt.Errorf("%s is %d bytes, over the cap of %d bytes", what, len(q), maxQueryBytes)
+	}
+	if n := len(textkit.Tokenize(q)); n > maxQueryTokens {
+		return fmt.Errorf("%s has %d tokens, over the cap of %d tokens", what, n, maxQueryTokens)
+	}
+	return nil
+}
+
+// lookupLimit parses a lookup route's limit parameter: default 20, at
+// least 1, at most maxLookupLimit.
+func lookupLimit(r *http.Request) (int, error) {
+	limit, err := queryInt(r, "limit", 20)
+	if err != nil {
+		return 0, err
+	}
+	if limit <= 0 {
+		return 0, fmt.Errorf("parameter \"limit\" must be positive, got %d", limit)
+	}
+	if limit > maxLookupLimit {
+		return 0, fmt.Errorf("parameter \"limit\" is %d, over the cap of %d", limit, maxLookupLimit)
+	}
+	return limit, nil
+}
+
 // --- conditional GET (ETag = snapshot generation) ---
 //
 // Structure routes answer from one immutable artifact, and identical
@@ -707,18 +745,19 @@ func (s *Server) handlePhraseSearch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "snapshot has no phrases (roles or hierarchy section required)")
 		return
 	}
-	q := textkit.Fold(strings.TrimSpace(r.URL.Query().Get("q")))
+	q := strings.TrimSpace(r.URL.Query().Get("q"))
 	if q == "" {
 		writeErr(w, http.StatusBadRequest, "missing query parameter q")
 		return
 	}
-	limit, err := queryInt(r, "limit", 20)
-	if err != nil {
+	if err := checkQuery("query", q); err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if limit <= 0 {
-		writeErr(w, http.StatusBadRequest, "parameter \"limit\" must be positive, got %d", limit)
+	q = textkit.Fold(q)
+	limit, err := lookupLimit(r)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if condGET(w, r, a) {
@@ -836,13 +875,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "missing query parameter q")
 		return
 	}
-	limit, err := queryInt(r, "limit", 20)
-	if err != nil {
+	if err := checkQuery("query", q); err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if limit <= 0 {
-		writeErr(w, http.StatusBadRequest, "parameter \"limit\" must be positive, got %d", limit)
+	limit, err := lookupLimit(r)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if condGET(w, r, a) {
@@ -870,6 +909,10 @@ func (s *Server) handleEntity(w http.ResponseWriter, r *http.Request) {
 	name := strings.TrimPrefix(r.URL.Path, "/entity/")
 	if strings.TrimSpace(name) == "" {
 		writeErr(w, http.StatusBadRequest, "missing entity name (want /entity/:name)")
+		return
+	}
+	if err := checkQuery("entity name", name); err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	hit, ok := a.index.Resolve(name)

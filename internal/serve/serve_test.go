@@ -291,12 +291,16 @@ func TestPhraseSearchLimitValidation(t *testing.T) {
 			t.Fatalf("limit=%s error = %v", bad, got)
 		}
 	}
-	// limit=1 truncates to exactly one hit; a huge limit returns all.
+	// limit=1 truncates to exactly one hit; the largest allowed limit
+	// returns all, and one past it is a client error naming the cap.
 	if one := getJSON(t, ts.URL+"/phrases/search?q=n&limit=1", http.StatusOK); len(one["hits"].([]any)) != 1 {
 		t.Fatalf("limit=1 hits = %v", one["hits"])
 	}
-	if all := getJSON(t, ts.URL+"/phrases/search?q=n&limit=1000", http.StatusOK); len(all["hits"].([]any)) != 2 {
-		t.Fatalf("limit=1000 hits = %v", all["hits"])
+	if all := getJSON(t, ts.URL+"/phrases/search?q=n&limit=100", http.StatusOK); len(all["hits"].([]any)) != 2 {
+		t.Fatalf("limit=100 hits = %v", all["hits"])
+	}
+	if got := getJSON(t, ts.URL+"/phrases/search?q=n&limit=1000", http.StatusBadRequest); !strings.Contains(got["error"].(string), "cap of 100") {
+		t.Fatalf("limit=1000 error = %v", got)
 	}
 	if def := getJSON(t, ts.URL+"/phrases/search?q=n", http.StatusOK); len(def["hits"].([]any)) != 2 {
 		t.Fatalf("default-limit hits = %v", def["hits"])

@@ -40,11 +40,23 @@ func TestFoldCanonicalizesCaseVariants(t *testing.T) {
 		{"K", "k"},             // Kelvin sign U+212A vs ASCII k
 		{"ſ", "s"},             // long s U+017F
 		{"Query", "qUERY"},     // ASCII fast path
+		{"Ι", "ι"},             // capital vs small iota
+		{"\u1fbe", "ι"},        // prosgegrammeni U+1FBE vs small iota
 	}
 	for _, c := range cases {
 		if Fold(c.a) != Fold(c.b) {
 			t.Errorf("Fold(%q) = %q, Fold(%q) = %q — variants must fold together", c.a, Fold(c.a), c.b, Fold(c.b))
 		}
+	}
+	// Iota's fold orbit starts at a combining mark (U+0345), not a letter;
+	// the canonical form must still be the letter ι.
+	for _, in := range []string{"Ι", "ι", "\u1fbe"} {
+		if got := Fold(in); got != "ι" {
+			t.Errorf("Fold(%q) = %q (%U), want \"ι\"", in, got, []rune(got))
+		}
+	}
+	if got, want := Tokenize("Ιλιάδα"), []string{"ιλιάδα"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Tokenize(%q) = %q, want %q", "Ιλιάδα", got, want)
 	}
 	// The pre-fix mismatch this pins: strings.ToLower keeps the final
 	// sigma distinct, so if Fold ever degrades to it this test fails.

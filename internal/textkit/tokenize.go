@@ -7,7 +7,11 @@ import (
 )
 
 // FoldRune maps r to its canonical case-folded form: the lowercase of the
-// smallest rune in r's unicode.SimpleFold orbit. This is strictly stronger
+// smallest letter in r's unicode.SimpleFold orbit (r itself when the orbit
+// holds no letter). Only letters qualify because an orbit may hold a
+// combining mark: Greek iota's orbit starts at U+0345 COMBINING GREEK
+// YPOGEGRAMMENI, which is not a letter, so 'Ι', 'ι' and 'ι' fold to 'ι'
+// rather than to a mark that would split tokens. This is strictly stronger
 // than unicode.ToLower — case variants that lowercasing keeps apart still
 // fold together (Greek final sigma 'ς' and 'σ' both become 'σ', the Kelvin
 // sign 'K' becomes 'k', long s 'ſ' becomes 's') — so a query folded with
@@ -24,10 +28,16 @@ func FoldRune(r rune) rune {
 		return r
 	}
 	min := r
+	if !unicode.IsLetter(r) {
+		min = -1
+	}
 	for f := unicode.SimpleFold(r); f != r; f = unicode.SimpleFold(f) {
-		if f < min {
+		if unicode.IsLetter(f) && (min < 0 || f < min) {
 			min = f
 		}
+	}
+	if min < 0 {
+		min = r
 	}
 	return unicode.ToLower(min)
 }
