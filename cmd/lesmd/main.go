@@ -43,7 +43,6 @@
 //	GET  /topics                      topic list with weights
 //	GET  /topics/{k}/top-words?n=10   topic k's top words
 //	GET  /hierarchy/node/{id}         hierarchy node by path (o/1/2 or o.1.2)
-//	GET  /phrases/search?q=&limit=    ranked phrase search (substring)
 //	GET  /search?q=&limit=            fuzzy entity search over words,
 //	                                  phrases and authors (bounded edit
 //	                                  distance, ranked typed hits)
@@ -51,10 +50,8 @@
 //	                                  resolution, then topic mixture /
 //	                                  hierarchy placements / phrases for a
 //	                                  word, occurrences + constituents for
-//	                                  a phrase, advisor + advisees for an
-//	                                  author
-//	GET  /advisor/{author}            advisor ranking for a numeric
-//	                                  author id
+//	                                  a phrase, advisor ranking + advisees
+//	                                  for an author
 //	POST /infer                       fold-in inference for new documents
 //	                                  (at most -batch-docs per request)
 //	POST /admin/reload                force an immediate snapshot reload

@@ -4,7 +4,7 @@
 // the quickstart corpus, persists everything as a model snapshot, loads
 // the snapshot into the serving layer (the same code path cmd/lesmd
 // runs), and queries it over real HTTP: top words, hierarchy nodes,
-// phrase search, and deterministic fold-in inference for unseen titles.
+// entity search, and deterministic fold-in inference for unseen titles.
 package main
 
 import (
@@ -95,7 +95,7 @@ func main() {
 	show("health:", base+"/healthz")
 	show("topic 0 top words:", base+"/topics/0/top-words?n=5")
 	show("hierarchy node o/1:", base+"/hierarchy/node/o/1")
-	show("phrase search:", base+"/phrases/search?q=mining&limit=3")
+	show("search (words, phrases, authors):", base+"/search?q=mining&limit=3")
 
 	// Fold-in inference: encode two unseen titles and POST them twice —
 	// identical (seed, doc) must give identical distributions.

@@ -78,9 +78,9 @@ type Source struct {
 }
 
 // SourceFromSnapshot extracts everything a snapshot knows by name:
-// vocabulary words, phrase displays (the roles section when present,
-// otherwise the hierarchy's attached phrase lists — the same precedence
-// the phrase-search route uses), and the advisor network's authors,
+// vocabulary words, phrase displays (the roles section, the analyzer's
+// per-topic view, when present; otherwise the hierarchy's attached phrase
+// lists in pre-order), and the advisor network's authors,
 // labeled through the hierarchy's author-type entities when it carries
 // any (an entity type named "author" or "person"; first display per id in
 // pre-order wins). The extraction order is fully determined by the
@@ -252,6 +252,21 @@ func (ix *Index) Postings() int {
 
 // Entry returns indexed entry i.
 func (ix *Index) Entry(i int) Entry { return ix.entries[i] }
+
+// WithTerm returns the ids of the entries whose name holds the folded
+// token term, ascending; nil when term is not in the dictionary. The slice
+// is the index's own: callers must not modify it.
+func (ix *Index) WithTerm(term string) []int32 {
+	if i := sort.SearchStrings(ix.terms, term); i < len(ix.terms) && ix.terms[i] == term {
+		return ix.postings[i]
+	}
+	return nil
+}
+
+// Named returns the ids of the entries whose folded name equals
+// Fold(name), ascending. The slice is the index's own: callers must not
+// modify it.
+func (ix *Index) Named(name string) []int32 { return ix.byName[textkit.Fold(name)] }
 
 // Checksum is an FNV-1a digest over the index's canonical serialization
 // (entries in id order, then the sorted term dictionary with its posting

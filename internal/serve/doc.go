@@ -1,8 +1,10 @@
 // Package serve is the read side of the framework: an HTTP/JSON query
 // server over model snapshots (internal/store). It answers structure
-// lookups (topic top-words, hierarchy nodes, phrase search, advisor
-// rankings) from immutable in-memory state — lookup queries capped at 256
-// bytes, 8 tokens and a limit of 100 — and runs fold-in Gibbs
+// lookups (topic top-words, hierarchy nodes) and entity lookups (/search
+// and /entity/:name over the generation's internal/search index, the one
+// table of words, phrases and authors; an author profile carries its
+// advisor ranking) from immutable in-memory state — lookup queries capped
+// at 256 bytes, 8 tokens and a limit of 100 — and runs fold-in Gibbs
 // inference (internal/lda.FoldIn) for unseen documents on the shared
 // parallel runtime.
 //

@@ -151,11 +151,25 @@ func TestServingEndToEnd(t *testing.T) {
 	if root["path"] != "o" {
 		t.Fatalf("root node = %v", root)
 	}
-	if hits := mustGet(t, ts.URL+"/phrases/search?q=que")["hits"].([]any); len(hits) == 0 {
-		t.Fatal("phrase search found nothing for 'que'")
+	phraseHit := false
+	for _, h := range mustGet(t, ts.URL+"/search?q=query&limit=20")["hits"].([]any) {
+		phraseHit = phraseHit || h.(map[string]any)["kind"] == "phrase"
 	}
-	if adv := mustGet(t, ts.URL+"/advisor/2"); adv["advisor"] == nil {
-		t.Fatalf("advisor = %v", adv)
+	if !phraseHit {
+		t.Fatal("/search found no phrase for 'query'")
+	}
+	if adv := mustGet(t, ts.URL+"/entity/2"); adv["advisor"] == nil {
+		t.Fatalf("author profile = %v", adv)
+	}
+	for _, gone := range []string{"/phrases/search?q=que", "/advisor/2"} {
+		resp, err := http.Get(ts.URL + gone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s: status %d, want 404", gone, resp.StatusCode)
+		}
 	}
 	// Entity search over the fitted snapshot: a typo'd word resolves
 	// fuzzily, and /entity composes the profile in one response.
@@ -276,7 +290,7 @@ func TestServingEndToEnd(t *testing.T) {
 	go func() { // structure reader
 		defer wg.Done()
 		urls := []string{ts.URL + "/healthz", ts.URL + "/topics", ts.URL + "/topics/1/top-words?n=3",
-			ts.URL + "/hierarchy/node/o", ts.URL + "/phrases/search?q=e", ts.URL + "/advisor/1",
+			ts.URL + "/hierarchy/node/o", ts.URL + "/search?q=query", ts.URL + "/entity/1",
 			ts.URL + "/search?q=trainng", ts.URL + "/entity/network",
 			ts.URL + "/metrics"}
 		for i := 0; i < 60; i++ {

@@ -62,8 +62,7 @@ func TestSearchEndpoint(t *testing.T) {
 		t.Fatalf("author hit = %v", top)
 	}
 
-	// Param validation mirrors /phrases/search: q required, limit must be
-	// a positive integer.
+	// Param validation: q required, limit must be a positive integer.
 	getJSON(t, ts.URL+"/search", http.StatusBadRequest)
 	getJSON(t, ts.URL+"/search?q=query&limit=0", http.StatusBadRequest)
 	getJSON(t, ts.URL+"/search?q=query&limit=-3", http.StatusBadRequest)
@@ -84,6 +83,92 @@ func TestSearchEmptyHitsShape(t *testing.T) {
 	n, _ := resp.Body.Read(buf)
 	if !strings.Contains(string(buf[:n]), `"hits":[]`) {
 		t.Fatalf("no-hit /search did not serialize hits as []: %s", buf[:n])
+	}
+}
+
+// TestSearchCaseFolding: queries and indexed names fold through
+// textkit.Fold on both sides, so a case variant of a phrase's word finds
+// the phrase — including the Greek final sigma, which strings.ToLower
+// keeps apart from the medial form an uppercase query lowercases to.
+func TestSearchCaseFolding(t *testing.T) {
+	snap := testSnapshot(t)
+	snap.RolePhrases = append(snap.RolePhrases, store.TopicPhrases{
+		Path:    "o/2",
+		Phrases: []core.RankedPhrase{{Display: "Σίσυφος learning", Score: 1}},
+	})
+	s, err := New(snap, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	for q, want := range map[string]string{
+		"PROCESSING": "query processing",
+		"ΣΊΣΥΦΟΣ":    "Σίσυφος learning",
+	} {
+		found := false
+		for _, h := range getJSON(t, ts.URL+"/search?q="+url.QueryEscape(q), http.StatusOK)["hits"].([]any) {
+			m := h.(map[string]any)
+			found = found || (m["kind"] == "phrase" && m["name"] == want && m["distance"].(float64) == 0)
+		}
+		if !found {
+			t.Errorf("/search?q=%s missed the phrase %q", q, want)
+		}
+	}
+}
+
+// TestEntityAdvisor checks the advisor block of author profiles resolved
+// by id digits: author 2 is advised by 0 with the argmax rank mass over
+// both candidates, and author 0, with no candidates, gets the virtual
+// no-advisor node (-1). An id outside the network names no entity.
+func TestEntityAdvisor(t *testing.T) {
+	ts := newTestServer(t, Options{})
+	adv := getJSON(t, ts.URL+"/entity/2", http.StatusOK)["advisor"].(map[string]any)
+	if adv["advisor"].(float64) != 0 || adv["score"].(float64) != 0.6 {
+		t.Fatalf("author 2 advisor block = %v", adv)
+	}
+	if cands := adv["candidates"].([]any); len(cands) != 2 {
+		t.Fatalf("candidates = %v", cands)
+	}
+	adv = getJSON(t, ts.URL+"/entity/0", http.StatusOK)["advisor"].(map[string]any)
+	if adv["advisor"].(float64) != -1 {
+		t.Fatalf("rootless author advisor = %v", adv)
+	}
+	getJSON(t, ts.URL+"/entity/99", http.StatusNotFound)
+}
+
+// TestEntityAdvisorScoreWithDuplicateCandidates is the regression test for
+// the score fallback: the score used to be rediscovered by scanning the
+// candidate list for the predicted advisor id, so a duplicated candidate
+// made the *last* duplicate's rank win — here 0.3 instead of the argmax
+// mass 0.6. The score must be the argmax entry of the rank vector itself.
+func TestEntityAdvisorScoreWithDuplicateCandidates(t *testing.T) {
+	snap := testSnapshot(t)
+	snap.Advisor = &store.Advisor{
+		Net: &tpfg.Network{
+			NumAuthors: 3,
+			First:      []int{1995, 2003, 2004},
+			Cands: [][]tpfg.Candidate{
+				nil,
+				{{Advisor: 0, Start: 2003, End: 2007}},
+				// Author 0 appears twice (distinct candidate intervals).
+				{{Advisor: 0, Start: 2004, End: 2006}, {Advisor: 0, Start: 2006, End: 2008}},
+			},
+		},
+		Rank: [][]float64{{1}, {0.2, 0.8}, {0.1, 0.6, 0.3}},
+	}
+	s, err := New(snap, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	adv := getJSON(t, ts.URL+"/entity/2", http.StatusOK)["advisor"].(map[string]any)
+	if adv["advisor"].(float64) != 0 {
+		t.Fatalf("advisor block = %v", adv)
+	}
+	if score := adv["score"].(float64); score != 0.6 {
+		t.Fatalf("score = %v, want the argmax mass 0.6 (duplicate-candidate scan reported the last match)", score)
 	}
 }
 
@@ -260,7 +345,7 @@ func TestConditionalGETAcrossQueryStrings(t *testing.T) {
 		t.Fatalf("initial GET: %d %q", code, tag)
 	}
 	// Distinct query string, same generation: still 304.
-	for _, p := range []string{"/search?q=network", "/entity/query", "/phrases/search?q=network"} {
+	for _, p := range []string{"/search?q=network", "/entity/query", "/entity/2"} {
 		if code, _ := get(p, tag); code != http.StatusNotModified {
 			t.Fatalf("GET %s with %s: %d, want 304", p, tag, code)
 		}
@@ -297,11 +382,6 @@ func TestLookupInputCaps(t *testing.T) {
 		{"entity 257 bytes", "/entity/" + long, http.StatusBadRequest, "cap of 256 bytes"},
 		{"entity 64KB", "/entity/" + url.PathEscape(huge), http.StatusBadRequest, "cap of 256 bytes"},
 		{"entity 9 tokens", "/entity/" + url.PathEscape(words(9)), http.StatusBadRequest, "cap of 8 tokens"},
-		{"phrases at caps", "/phrases/search?limit=100&q=" + url.QueryEscape(words(8)), http.StatusOK, ""},
-		{"phrases 257 bytes", "/phrases/search?q=" + long, http.StatusBadRequest, "cap of 256 bytes"},
-		{"phrases 64KB", "/phrases/search?q=" + url.QueryEscape(huge), http.StatusBadRequest, "cap of 256 bytes"},
-		{"phrases 9 tokens", "/phrases/search?q=" + url.QueryEscape(words(9)), http.StatusBadRequest, "cap of 8 tokens"},
-		{"phrases limit 101", "/phrases/search?q=n&limit=101", http.StatusBadRequest, "cap of 100"},
 	}
 	for _, c := range cases {
 		for _, inm := range []string{"", `"gen-1"`} {
@@ -449,4 +529,64 @@ func grepLines(body, needle string) string {
 		}
 	}
 	return strings.Join(out, "\n")
+}
+
+// hierarchyPhraseSnapshot is the serve fixture without its roles section,
+// so phrases come from the hierarchy's attached lists, plus phrases on the
+// root that repeat a display at a second path and tie a score: the
+// profile phrase lists then need their full order (score, display, path).
+func hierarchyPhraseSnapshot(t testing.TB) *store.Snapshot {
+	snap := testSnapshot(t)
+	snap.RolePhrases = nil
+	snap.Hierarchy.Root.Phrases = []core.RankedPhrase{
+		{Words: []int{0, 2}, Display: "query index", Score: 3},
+		{Words: []int{0, 1}, Display: "Query Processing", Score: 1},
+	}
+	return snap
+}
+
+// TestEntityBodiesPinned pins exact /entity response bodies — word, fuzzy
+// word, phrase and author profiles — on the serve fixture and on its
+// hierarchy-phrase variant. The bodies were captured from the
+// implementation that kept its own phrase table beside the search index;
+// the index-backed profiles must reproduce them byte for byte.
+func TestEntityBodiesPinned(t *testing.T) {
+	cases := []struct {
+		fixture, path, body string
+	}{
+		{"roles", "/entity/query", `{"generation":1,"nodes":[{"path":"o","p":0.2856258924321752},{"path":"o/1","p":0.2856258924321752},{"path":"o/2","p":0.00003702332469455757}],"phrases":[{"path":"o/1","display":"query processing","score":3}],"query":"query","resolved":{"kind":"word","name":"query","id":0,"score":2,"distance":0,"matched":1,"of":1},"topic_mixture":[{"topic":0,"p":0.9998333712490334},{"topic":1,"p":0.0001666287509666036}]}`},
+		{"roles", "/entity/procesing", `{"generation":1,"nodes":[{"path":"o","p":0.2856258924321752},{"path":"o/1","p":0.2856258924321752},{"path":"o/2","p":0.00003702332469455757}],"phrases":[{"path":"o/1","display":"query processing","score":3}],"query":"procesing","resolved":{"kind":"word","name":"processing","id":1,"score":0.5,"distance":1,"matched":1,"of":1},"topic_mixture":[{"topic":0,"p":0.9998333712490334},{"topic":1,"p":0.0001666287509666036}]}`},
+		{"roles", "/entity/query%20processing", `{"generation":1,"occurrences":[{"path":"o/1","display":"query processing","score":3}],"query":"query processing","resolved":{"kind":"phrase","name":"query processing","id":0,"path":"o/1","weight":3,"score":2,"distance":0,"matched":2,"of":2},"topic_mixture":[{"topic":0,"p":0.9998333712490334},{"topic":1,"p":0.0001666287509666036}],"words":[{"word":"query","id":0},{"word":"processing","id":1}]}`},
+		{"roles", "/entity/0", `{"advisees":[{"author":1,"score":0.8},{"author":2,"score":0.6}],"advisor":{"advisor":-1,"candidates":[],"score":1},"generation":1,"query":"0","resolved":{"kind":"author","name":"0","id":0,"score":2,"distance":0,"matched":1,"of":1}}`},
+		{"roles", "/entity/2", `{"advisees":[],"advisor":{"advisor":0,"candidates":[{"advisor":0,"rank":0.6,"start":2004,"end":2008},{"advisor":1,"rank":0.3,"start":2005,"end":2008}],"score":0.6},"generation":1,"query":"2","resolved":{"kind":"author","name":"2","id":2,"score":2,"distance":0,"matched":1,"of":1}}`},
+		{"hierarchy", "/entity/query", `{"generation":1,"nodes":[{"path":"o","p":0.2856258924321752},{"path":"o/1","p":0.2856258924321752},{"path":"o/2","p":0.00003702332469455757}],"phrases":[{"path":"o","display":"query index","score":3},{"path":"o/1","display":"query processing","score":3},{"path":"o","display":"Query Processing","score":1}],"query":"query","resolved":{"kind":"word","name":"query","id":0,"score":2,"distance":0,"matched":1,"of":1},"topic_mixture":[{"topic":0,"p":0.9998333712490334},{"topic":1,"p":0.0001666287509666036}]}`},
+		{"hierarchy", "/entity/processing", `{"generation":1,"nodes":[{"path":"o","p":0.2856258924321752},{"path":"o/1","p":0.2856258924321752},{"path":"o/2","p":0.00003702332469455757}],"phrases":[{"path":"o/1","display":"query processing","score":3},{"path":"o","display":"Query Processing","score":1}],"query":"processing","resolved":{"kind":"word","name":"processing","id":1,"score":2,"distance":0,"matched":1,"of":1},"topic_mixture":[{"topic":0,"p":0.9998333712490334},{"topic":1,"p":0.0001666287509666036}]}`},
+		{"hierarchy", "/entity/query%20processing", `{"generation":1,"occurrences":[{"path":"o","display":"Query Processing","score":1},{"path":"o/1","display":"query processing","score":3}],"query":"query processing","resolved":{"kind":"phrase","name":"Query Processing","id":1,"path":"o","weight":1,"score":2,"distance":0,"matched":2,"of":2},"topic_mixture":[{"topic":0,"p":0.9998333712490334},{"topic":1,"p":0.0001666287509666036}],"words":[{"word":"query","id":0},{"word":"processing","id":1}]}`},
+		{"hierarchy", "/entity/query%20index", `{"generation":1,"occurrences":[{"path":"o","display":"query index","score":3}],"query":"query index","resolved":{"kind":"phrase","name":"query index","id":0,"path":"o","weight":3,"score":2,"distance":0,"matched":2,"of":2},"topic_mixture":[{"topic":0,"p":0.9997778530081233},{"topic":1,"p":0.0002221469918766734}],"words":[{"word":"query","id":0},{"word":"index","id":2}]}`},
+	}
+	fixtures := map[string]func(testing.TB) *store.Snapshot{
+		"roles":     testSnapshot,
+		"hierarchy": hierarchyPhraseSnapshot,
+	}
+	servers := map[string]*httptest.Server{}
+	for name, snap := range fixtures {
+		s, err := New(snap(t), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(func() { ts.Close(); s.Close() })
+		servers[name] = ts
+	}
+	for _, c := range cases {
+		resp, err := http.Get(servers[c.fixture].URL + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || string(body) != c.body+"\n" {
+			t.Errorf("%s %s: status %d, body\n%s\nwant\n%s", c.fixture, c.path, resp.StatusCode, body, c.body)
+		}
+	}
 }

@@ -13,8 +13,8 @@ var structureRoutes = []string{
 	"/topics",
 	"/topics/0/top-words?n=3",
 	"/hierarchy/node/o/1",
-	"/phrases/search?q=query",
-	"/advisor/1",
+	"/search?q=query",
+	"/entity/1",
 }
 
 // condProbe GETs url with an optional If-None-Match and returns the
@@ -114,8 +114,10 @@ func TestNoETagOnErrorsOrDynamicRoutes(t *testing.T) {
 	}{
 		{"/topics/9/top-words", http.StatusNotFound},
 		{"/hierarchy/node/o/9", http.StatusNotFound},
-		{"/advisor/99", http.StatusNotFound},
-		{"/phrases/search", http.StatusBadRequest}, // missing q
+		{"/entity/qqqqzzzz", http.StatusNotFound},
+		{"/search", http.StatusBadRequest},           // missing q
+		{"/phrases/search?q=x", http.StatusNotFound}, // deleted route
+		{"/advisor/1", http.StatusNotFound},          // deleted route
 		{"/healthz", http.StatusOK},
 		{"/metrics", http.StatusOK},
 	} {
@@ -129,7 +131,7 @@ func TestNoETagOnErrorsOrDynamicRoutes(t *testing.T) {
 	}
 	// A 404 with a (stale-format) validator stays a 404 — the conditional
 	// check must run only after the request resolves to servable content.
-	if status, _, _ := condProbe(t, ts.URL+"/advisor/99", `"gen-1"`); status != http.StatusNotFound {
+	if status, _, _ := condProbe(t, ts.URL+"/entity/qqqqzzzz", `"gen-1"`); status != http.StatusNotFound {
 		t.Fatalf("validated 404 became %d", status)
 	}
 	// POST /infer is dynamic per-request content: no ETag.

@@ -94,8 +94,8 @@ var batchDocBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 // routeNames is the fixed route-label universe, in render order. Every
 // mux registration instruments itself under exactly one of these.
 var routeNames = []string{
-	"healthz", "topics", "top_words", "hierarchy_node", "phrases_search",
-	"search", "entity", "advisor", "infer", "admin_reload", "metrics",
+	"healthz", "topics", "top_words", "hierarchy_node",
+	"search", "entity", "infer", "admin_reload", "metrics",
 }
 
 // atomicFloat64 is a CAS-loop float accumulator (histogram sums).

@@ -278,8 +278,14 @@ func TestMetricsScrapeMatchesRequests(t *testing.T) {
 	getJSON(t, ts.URL+"/healthz", http.StatusOK)
 	getJSON(t, ts.URL+"/hierarchy/node/o", http.StatusOK)
 	getJSON(t, ts.URL+"/hierarchy/node/o/9", http.StatusNotFound)
-	getJSON(t, ts.URL+"/phrases/search?q=query", http.StatusOK)
-	getJSON(t, ts.URL+"/advisor/1", http.StatusOK)
+	getJSON(t, ts.URL+"/search?q=query", http.StatusOK)
+	getJSON(t, ts.URL+"/entity/1", http.StatusOK)
+	// Unregistered paths 404 outside the route-label universe.
+	for _, gone := range []string{"/phrases/search?q=query", "/advisor/1"} {
+		if code := getStatus(t, ts.URL+gone); code != http.StatusNotFound {
+			t.Fatalf("GET %s: status %d, want 404", gone, code)
+		}
+	}
 	postJSON(t, ts.URL+"/infer", map[string]any{"seed": 1, "ids": [][]int{{0, 1, 2}}, "sweeps": 3}, http.StatusOK)
 	postJSON(t, ts.URL+"/infer", map[string]any{"seed": 2, "ids": [][]int{{5, 6}, {7}}, "sweeps": 3}, http.StatusOK)
 	postJSON(t, ts.URL+"/infer", map[string]any{"seed": 3}, http.StatusBadRequest)
@@ -290,8 +296,8 @@ func TestMetricsScrapeMatchesRequests(t *testing.T) {
 		`lesmd_http_requests_total{route="top_words"}`:      3,
 		`lesmd_http_requests_total{route="healthz"}`:        1,
 		`lesmd_http_requests_total{route="hierarchy_node"}`: 2,
-		`lesmd_http_requests_total{route="phrases_search"}`: 1,
-		`lesmd_http_requests_total{route="advisor"}`:        1,
+		`lesmd_http_requests_total{route="search"}`:         1,
+		`lesmd_http_requests_total{route="entity"}`:         1,
 		`lesmd_http_requests_total{route="infer"}`:          3,
 		`lesmd_http_requests_total{route="admin_reload"}`:   0,
 		// A scrape records itself only after rendering: the first scrape
@@ -334,6 +340,11 @@ func TestMetricsScrapeMatchesRequests(t *testing.T) {
 		}
 		if strings.HasPrefix(name, "lesmd_infer_") && !inferFamilies[name] {
 			t.Errorf("unexpected /infer family %s", name)
+		}
+	}
+	for _, gone := range []string{"phrases_search", "advisor"} {
+		if _, ok := got[`lesmd_http_requests_total{route="`+gone+`"}`]; ok {
+			t.Errorf("deleted route label %q still rendered", gone)
 		}
 	}
 	if got[`lesmd_goroutines`] <= 0 {

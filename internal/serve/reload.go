@@ -4,8 +4,8 @@ package serve
 //
 // A refit goes live with zero downtime: the new snapshot is decoded and
 // validated off to the side, a fresh artifact (vocab index, fold-in model
-// with precomputed alias tables, hierarchy index, phrase index, advisor
-// predictions) is built from it, and one atomic pointer swap publishes it.
+// with precomputed alias tables, hierarchy index, entity search index,
+// advisor predictions) is built from it, and one atomic pointer swap publishes it.
 // Handlers load the artifact pointer exactly once per request, so requests
 // in flight across the swap finish on the artifact they started with and
 // every response is internally consistent with a single generation.

@@ -118,15 +118,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// phraseHit is one prepared entry of the phrase search index. folded is
-// the display case-folded through textkit.Fold — the same fold queries go
-// through, so non-ASCII case variants match (strings.ToLower kept e.g.
-// the Greek final sigma distinct from the medial form Tokenize produces).
+// phraseHit is one phrase placement in an entity profile: a phrase entry
+// of the generation's search index.
 type phraseHit struct {
 	Path    string  `json:"path"`
 	Display string  `json:"display"`
 	Score   float64 `json:"score"`
-	folded  string
 }
 
 // authorNode is one hierarchy placement of an author entity.
@@ -148,10 +145,9 @@ type artifact struct {
 	foldIn  *lda.FoldInModel
 	nodes   map[string]*core.TopicNode
 	paths   []string // hierarchy pre-order
-	phrases []phraseHit
 	advisor *tpfg.Result
 	// predicted[i] is advisor.Predict()[i], computed once at build so
-	// /advisor lookups don't re-run the all-authors argmax per request;
+	// author profiles don't re-run the all-authors argmax per request;
 	// predictedScore[i] is the rank mass of that prediction — the argmax
 	// entry of Rank[i] itself, never reconstructed by scanning the
 	// candidate list (duplicate candidates made that scan report the wrong
@@ -163,8 +159,9 @@ type artifact struct {
 	// ascending — the reverse edge set of predicted, for entity profiles.
 	advisees map[int][]int
 	// index is the generation's entity search index (always built, possibly
-	// empty); it is immutable and rides the same atomic swap as the rest of
-	// the artifact, so /search and /entity reads are lock-free.
+	// empty) and its only phrase table; it is immutable and rides the same
+	// atomic swap as the rest of the artifact, so /search and /entity reads
+	// are lock-free.
 	index *search.Index
 	// authorNodes[id] lists the hierarchy placements of author id — the
 	// nodes carrying an author-typed entity with that id (search.AuthorTypes
@@ -215,21 +212,6 @@ func buildArtifact(snap *store.Snapshot, opt Options, gen uint64, closer io.Clos
 			a.paths = append(a.paths, n.Path)
 			a.nodes[n.Path] = n
 		})
-	}
-	// Phrase search index: the roles section when present (the analyzer's
-	// per-topic view), otherwise the hierarchy's attached phrase lists.
-	if snap.RolePhrases != nil {
-		for _, tp := range snap.RolePhrases {
-			for _, p := range tp.Phrases {
-				a.phrases = append(a.phrases, phraseHit{Path: tp.Path, Display: p.Display, Score: p.Score, folded: textkit.Fold(p.Display)})
-			}
-		}
-	} else if snap.Hierarchy != nil {
-		for _, path := range a.paths {
-			for _, p := range a.nodes[path].Phrases {
-				a.phrases = append(a.phrases, phraseHit{Path: path, Display: p.Display, Score: p.Score, folded: textkit.Fold(p.Display)})
-			}
-		}
 	}
 	if adv := snap.Advisor; adv != nil {
 		a.advisor = &tpfg.Result{Net: adv.Net, Rank: adv.Rank}
@@ -361,10 +343,8 @@ func New(snap *store.Snapshot, opt Options) (*Server, error) {
 	mux.HandleFunc("/topics", s.instrument("topics", s.handleTopics))
 	mux.HandleFunc("/topics/", s.instrument("top_words", s.handleTopicTopWords))
 	mux.HandleFunc("/hierarchy/node/", s.instrument("hierarchy_node", s.handleHierarchyNode))
-	mux.HandleFunc("/phrases/search", s.instrument("phrases_search", s.handlePhraseSearch))
 	mux.HandleFunc("/search", s.instrument("search", s.handleSearch))
 	mux.HandleFunc("/entity/", s.instrument("entity", s.handleEntity))
-	mux.HandleFunc("/advisor/", s.instrument("advisor", s.handleAdvisor))
 	mux.HandleFunc("/infer", s.instrument("infer", s.handleInfer))
 	mux.HandleFunc("/admin/reload", s.instrument("admin_reload", s.handleAdminReload))
 	mux.HandleFunc("/metrics", s.instrument("metrics", s.handleMetrics))
@@ -467,9 +447,9 @@ func queryInt(r *http.Request, name string, def int) (int, error) {
 }
 
 // Lookup input caps. Fuzzy resolution costs work per query byte and per
-// token, so /search, /entity/:name and /phrases/search reject longer
-// queries and larger limits with 400 before any index work and before
-// the conditional-GET check.
+// token, so /search and /entity/:name reject longer queries and larger
+// limits with 400 before any index work and before the conditional-GET
+// check.
 const (
 	maxQueryBytes  = 256
 	maxQueryTokens = 8
@@ -734,94 +714,7 @@ func (s *Server) handleHierarchyNode(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// --- /phrases/search ---
-
-func (s *Server) handlePhraseSearch(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
-		return
-	}
-	a := s.cur.Load()
-	if a.phrases == nil {
-		writeErr(w, http.StatusNotFound, "snapshot has no phrases (roles or hierarchy section required)")
-		return
-	}
-	q := strings.TrimSpace(r.URL.Query().Get("q"))
-	if q == "" {
-		writeErr(w, http.StatusBadRequest, "missing query parameter q")
-		return
-	}
-	if err := checkQuery("query", q); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	q = textkit.Fold(q)
-	limit, err := lookupLimit(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if condGET(w, r, a) {
-		return
-	}
-	var hits []phraseHit
-	for _, p := range a.phrases {
-		if strings.Contains(p.folded, q) {
-			hits = append(hits, p)
-		}
-	}
-	sort.SliceStable(hits, func(a, b int) bool {
-		if hits[a].Score != hits[b].Score {
-			return hits[a].Score > hits[b].Score
-		}
-		if hits[a].Display != hits[b].Display {
-			return hits[a].Display < hits[b].Display
-		}
-		return hits[a].Path < hits[b].Path
-	})
-	if len(hits) > limit {
-		hits = hits[:limit]
-	}
-	if hits == nil {
-		hits = []phraseHit{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"query": q, "hits": hits})
-}
-
-// --- /advisor/:author ---
-
-func (s *Server) handleAdvisor(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
-		return
-	}
-	a := s.cur.Load()
-	if a.advisor == nil {
-		writeErr(w, http.StatusNotFound, "snapshot has no advisor section")
-		return
-	}
-	raw := strings.TrimPrefix(r.URL.Path, "/advisor/")
-	author, err := strconv.Atoi(raw)
-	if err != nil {
-		// Distinct from out-of-range: "/advisor/3/x" or "/advisor/smith"
-		// never names an author index, and the old range message sent
-		// clients hunting for a numeric bound that wasn't the problem.
-		// Name lookups belong to /entity/:name.
-		writeErr(w, http.StatusNotFound, "author %q is not a numeric author id (fuzzy name lookup is /entity/:name)", raw)
-		return
-	}
-	if author < 0 || author >= a.advisor.Net.NumAuthors {
-		writeErr(w, http.StatusNotFound, "author %q out of range [0, %d)", raw, a.advisor.Net.NumAuthors)
-		return
-	}
-	if condGET(w, r, a) {
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"author": author, "advisor": a.predicted[author], "score": a.predictedScore[author],
-		"candidates": candidatesOf(a, author),
-	})
-}
-
-// candInfo is one advisor candidate in /advisor and /entity responses.
+// candInfo is one advisor candidate in an author profile.
 type candInfo struct {
 	Advisor int     `json:"advisor"`
 	Rank    float64 `json:"rank"`
@@ -1005,18 +898,23 @@ func wordNodes(a *artifact, w int) []nodeShare {
 	return out
 }
 
-// phrasesWithToken collects the phrase hits whose folded display contains
-// token as a whole token, best score first, capped at profileCap.
-func phrasesWithToken(a *artifact, token string) []phraseHit {
+// phrasesOf renders the phrase entries among the index entries ids, in id
+// (snapshot phrase) order.
+func phrasesOf(ix *search.Index, ids []int32) []phraseHit {
 	var out []phraseHit
-	for _, p := range a.phrases {
-		for _, t := range textkit.Tokenize(p.folded) {
-			if t == token {
-				out = append(out, p)
-				break
-			}
+	for _, id := range ids {
+		if e := ix.Entry(int(id)); e.Kind == search.KindPhrase {
+			out = append(out, phraseHit{Path: e.Path, Display: e.Name, Score: e.Weight})
 		}
 	}
+	return out
+}
+
+// phrasesWithToken collects the phrases whose display contains token as a
+// whole token — the token's postings in the index — best score first,
+// capped at profileCap.
+func phrasesWithToken(a *artifact, token string) []phraseHit {
+	out := phrasesOf(a.index, a.index.WithTerm(token))
 	sort.SliceStable(out, func(a, b int) bool {
 		if out[a].Score != out[b].Score {
 			return out[a].Score > out[b].Score
@@ -1047,14 +945,9 @@ func (s *Server) profileWord(a *artifact, w int, resp map[string]any) {
 }
 
 func (s *Server) profilePhrase(a *artifact, display string, resp map[string]any) {
-	folded := textkit.Fold(display)
-	occ := []phraseHit{}
-	for _, p := range a.phrases {
-		if p.folded == folded {
-			occ = append(occ, p)
-		}
-	}
-	resp["occurrences"] = occ
+	// Every placement of the phrase, in snapshot order; never empty, since
+	// display is the name of a resolved phrase entry.
+	resp["occurrences"] = phrasesOf(a.index, a.index.Named(display))
 	// The phrase's constituent words, resolved to vocabulary ids where the
 	// snapshot knows them, and the composed topic mixture over those ids.
 	type wordRef struct {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"reflect"
 	"runtime"
 	"strings"
@@ -262,176 +261,6 @@ func TestHierarchyNode(t *testing.T) {
 	getJSON(t, ts.URL+"/hierarchy/node/o/9", http.StatusNotFound)
 }
 
-func TestPhraseSearch(t *testing.T) {
-	ts := newTestServer(t, Options{})
-	got := getJSON(t, ts.URL+"/phrases/search?q=PROCESSING", http.StatusOK)
-	hits := got["hits"].([]any)
-	if len(hits) != 1 {
-		t.Fatalf("hits = %v", hits)
-	}
-	hit := hits[0].(map[string]any)
-	if hit["display"] != "query processing" || hit["path"] != "o/1" {
-		t.Fatalf("hit = %v", hit)
-	}
-	if empty := getJSON(t, ts.URL+"/phrases/search?q=zzz", http.StatusOK); len(empty["hits"].([]any)) != 0 {
-		t.Fatalf("expected no hits: %v", empty)
-	}
-	getJSON(t, ts.URL+"/phrases/search", http.StatusBadRequest)
-}
-
-// TestPhraseSearchLimitValidation pins the limit contract: non-positive
-// limits are client errors like any other bad query param (they used to be
-// silently coerced to the default 20), boundary values behave, and an
-// absent limit still means the default cap.
-func TestPhraseSearchLimitValidation(t *testing.T) {
-	ts := newTestServer(t, Options{})
-	for _, bad := range []string{"-1", "0", "-999"} {
-		got := getJSON(t, ts.URL+"/phrases/search?q=n&limit="+bad, http.StatusBadRequest)
-		if msg, _ := got["error"].(string); !strings.Contains(msg, "must be positive") {
-			t.Fatalf("limit=%s error = %v", bad, got)
-		}
-	}
-	// limit=1 truncates to exactly one hit; the largest allowed limit
-	// returns all, and one past it is a client error naming the cap.
-	if one := getJSON(t, ts.URL+"/phrases/search?q=n&limit=1", http.StatusOK); len(one["hits"].([]any)) != 1 {
-		t.Fatalf("limit=1 hits = %v", one["hits"])
-	}
-	if all := getJSON(t, ts.URL+"/phrases/search?q=n&limit=100", http.StatusOK); len(all["hits"].([]any)) != 2 {
-		t.Fatalf("limit=100 hits = %v", all["hits"])
-	}
-	if got := getJSON(t, ts.URL+"/phrases/search?q=n&limit=1000", http.StatusBadRequest); !strings.Contains(got["error"].(string), "cap of 100") {
-		t.Fatalf("limit=1000 error = %v", got)
-	}
-	if def := getJSON(t, ts.URL+"/phrases/search?q=n", http.StatusOK); len(def["hits"].([]any)) != 2 {
-		t.Fatalf("default-limit hits = %v", def["hits"])
-	}
-	getJSON(t, ts.URL+"/phrases/search?q=n&limit=zap", http.StatusBadRequest)
-}
-
-// TestPhraseSearchEmptyHitsShape pins the JSON shape of a no-hit response:
-// "hits" must be the empty array, never null — clients range over it.
-func TestPhraseSearchEmptyHitsShape(t *testing.T) {
-	ts := newTestServer(t, Options{})
-	resp, err := http.Get(ts.URL + "/phrases/search?q=zzz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"hits":[]`) {
-		t.Fatalf("empty result did not serialize hits as []: %s", buf.String())
-	}
-}
-
-// TestPhraseSearchCaseFolding is the regression test for the fold
-// mismatch: the phrase index folded displays with strings.ToLower while
-// tokenization folded with unicode case mapping — both keep the Greek
-// final sigma apart from the medial form, so an uppercase query could
-// miss a phrase it plainly names. Both sides now fold through
-// textkit.Fold; an uppercase query must match a display holding 'ς'.
-func TestPhraseSearchCaseFolding(t *testing.T) {
-	snap := testSnapshot(t)
-	snap.RolePhrases = append(snap.RolePhrases, store.TopicPhrases{
-		Path:    "o/2",
-		Phrases: []core.RankedPhrase{{Display: "Σίσυφος learning", Score: 1}},
-	})
-	s, err := New(snap, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { ts.Close(); s.Close() })
-	// "ΣΊΣΥΦΟΣ" lowercases to a trailing medial sigma while the display's
-	// final sigma stays 'ς' — strings.ToLower on both sides never matches.
-	got := getJSON(t, ts.URL+"/phrases/search?q="+url.QueryEscape("ΣΊΣΥΦΟΣ"), http.StatusOK)
-	hits := got["hits"].([]any)
-	if len(hits) != 1 || hits[0].(map[string]any)["display"] != "Σίσυφος learning" {
-		t.Fatalf("folded query missed the phrase: %v", got)
-	}
-}
-
-func TestAdvisor(t *testing.T) {
-	ts := newTestServer(t, Options{})
-	got := getJSON(t, ts.URL+"/advisor/2", http.StatusOK)
-	if int(got["advisor"].(float64)) != 0 {
-		t.Fatalf("advisor = %v", got)
-	}
-	if got["score"].(float64) != 0.6 {
-		t.Fatalf("score = %v", got)
-	}
-	if cands := got["candidates"].([]any); len(cands) != 2 {
-		t.Fatalf("candidates = %v", cands)
-	}
-	// Author 0 has no candidates: the virtual no-advisor node wins.
-	got = getJSON(t, ts.URL+"/advisor/0", http.StatusOK)
-	if int(got["advisor"].(float64)) != -1 {
-		t.Fatalf("rootless author advisor = %v", got)
-	}
-	getJSON(t, ts.URL+"/advisor/99", http.StatusNotFound)
-	getJSON(t, ts.URL+"/advisor/xyz", http.StatusNotFound)
-}
-
-// TestAdvisorNonNumericMessage pins the error for paths that never name an
-// author index ("/advisor/3/x", "/advisor/smith"): still 404, but saying
-// the id is not numeric instead of the misleading out-of-range bound.
-func TestAdvisorNonNumericMessage(t *testing.T) {
-	ts := newTestServer(t, Options{})
-	for _, p := range []string{"/advisor/3/x", "/advisor/smith"} {
-		got := getJSON(t, ts.URL+p, http.StatusNotFound)
-		msg, _ := got["error"].(string)
-		if !strings.Contains(msg, "not a numeric author id") {
-			t.Fatalf("GET %s error = %q, want non-numeric message", p, msg)
-		}
-		if strings.Contains(msg, "out of range") {
-			t.Fatalf("GET %s still reports out-of-range: %q", p, msg)
-		}
-	}
-	// Genuinely numeric but out of range keeps the range message.
-	got := getJSON(t, ts.URL+"/advisor/99", http.StatusNotFound)
-	if msg, _ := got["error"].(string); !strings.Contains(msg, "out of range") {
-		t.Fatalf("numeric out-of-range error = %q", msg)
-	}
-}
-
-// TestAdvisorScoreWithDuplicateCandidates is the regression test for the
-// score fallback: the handler used to rediscover the predicted advisor's
-// rank by scanning the candidate list for a matching advisor id, so a
-// duplicated candidate made the *last* duplicate's rank win — here 0.3
-// instead of the argmax mass 0.6. The score must be the argmax entry of
-// the rank vector itself.
-func TestAdvisorScoreWithDuplicateCandidates(t *testing.T) {
-	snap := testSnapshot(t)
-	snap.Advisor = &store.Advisor{
-		Net: &tpfg.Network{
-			NumAuthors: 3,
-			First:      []int{1995, 2003, 2004},
-			Cands: [][]tpfg.Candidate{
-				nil,
-				{{Advisor: 0, Start: 2003, End: 2007}},
-				// Author 0 appears twice (distinct candidate intervals).
-				{{Advisor: 0, Start: 2004, End: 2006}, {Advisor: 0, Start: 2006, End: 2008}},
-			},
-		},
-		Rank: [][]float64{{1}, {0.2, 0.8}, {0.1, 0.6, 0.3}},
-	}
-	s, err := New(snap, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { ts.Close(); s.Close() })
-	got := getJSON(t, ts.URL+"/advisor/2", http.StatusOK)
-	if int(got["advisor"].(float64)) != 0 {
-		t.Fatalf("advisor = %v", got)
-	}
-	if score := got["score"].(float64); score != 0.6 {
-		t.Fatalf("score = %v, want the argmax mass 0.6 (duplicate-candidate scan reported the last match)", score)
-	}
-}
-
 func TestInferTokensAndIDs(t *testing.T) {
 	ts := newTestServer(t, Options{})
 	byTokens := postJSON(t, ts.URL+"/infer", map[string]any{
@@ -582,10 +411,10 @@ func TestConcurrentMixedQueries(t *testing.T) {
 		ts.URL + "/topics",
 		ts.URL + "/topics/0/top-words?n=5",
 		ts.URL + "/hierarchy/node/o/1",
-		ts.URL + "/phrases/search?q=query",
+		ts.URL + "/search?q=query%20processing",
 		ts.URL + "/search?q=databse",
 		ts.URL + "/entity/query",
-		ts.URL + "/advisor/1",
+		ts.URL + "/entity/1",
 	}
 	inferBody, _ := json.Marshal(map[string]any{"seed": 3, "ids": [][]int{{0, 1, 2, 3}}, "sweeps": 5})
 	var wg sync.WaitGroup
@@ -663,8 +492,7 @@ func TestMissingSections(t *testing.T) {
 	getJSON(t, ts.URL+"/topics", http.StatusNotFound)
 	getJSON(t, ts.URL+"/topics/0/top-words", http.StatusNotFound)
 	getJSON(t, ts.URL+"/hierarchy/node/o", http.StatusNotFound)
-	getJSON(t, ts.URL+"/phrases/search?q=a", http.StatusNotFound)
-	getJSON(t, ts.URL+"/advisor/0", http.StatusNotFound)
+	getJSON(t, ts.URL+"/entity/0", http.StatusNotFound) // no advisor section: no author 0
 	postJSON(t, ts.URL+"/infer", map[string]any{"seed": 1, "ids": [][]int{{0}}}, http.StatusNotFound)
 
 	if _, err := New(&store.Snapshot{}, Options{}); err == nil {
